@@ -8,8 +8,9 @@ Subcommands:
     verify          run the oracle verification families
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-domain error.  Output is deterministic for fixed inputs, seed and any
-thread count (cells are assembled by index, never by completion order).
+domain error.  Output is deterministic for fixed inputs and seed.  The grid
+subcommands accept --threads (default from ENTROPYNE_THREADS) for
+compatibility; it does not affect the work done or the output.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, _kernels, fock, gaussian, verify
+from . import __version__, fock, gaussian, verify
 from ._backend import backend_name
 from .amplifier import AmplifierConfig, amplifier_delta_surface
 from .errors import DomainError, EntropyneError
-from .grids import DeltaGrid, fmt, parse_grid_spec  # noqa: F401 (DeltaGrid re-exported for callers)
+from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec  # noqa: F401 (DeltaGrid re-exported for callers)
 from .qubit import BlochHamiltonian, qubit_delta_grid
 
 EXIT_OK = 0
@@ -36,18 +36,18 @@ EXIT_NUMERIC = 3
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("ENTROPYNE_THREADS", "1"))
+    text = os.environ.get("ENTROPYNE_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"ENTROPYNE_THREADS must be an integer, got {text!r}") from None
 
 
-def _parallel_rows(compute_block, n_rows: int, threads: int) -> np.ndarray:
-    """Evaluate row blocks concurrently, assembling by block index."""
-    if threads <= 1 or n_rows < 2:
-        return compute_block(0, n_rows)
-    bounds = np.linspace(0, n_rows, min(threads, n_rows) + 1).astype(int)
-    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: compute_block(*ab), blocks))
-    return np.vstack(parts)
+def _grid_spec(text: str) -> GridSpec:
+    try:
+        return parse_grid_spec(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_output(grid: DeltaGrid, args) -> None:
@@ -71,21 +71,13 @@ def _grid_common_metadata(args, extra: dict) -> dict:
 
 
 def cmd_qubit_grid(args) -> int:
-    theta_spec = parse_grid_spec(args.theta)
-    temp_spec = parse_grid_spec(args.temp)
+    theta_spec = _grid_spec(args.theta)
+    temp_spec = _grid_spec(args.temp)
     temps = temp_spec.values()
     if np.any(temps == 0.0) or (temps.min() < 0.0 < temps.max()):
         raise UsageError("temperature range must be sign-homogeneous and exclude 0")
     ham = BlochHamiltonian(h0=args.h0, h=np.array([0.0, 0.0, args.h_norm]))
     grid = qubit_delta_grid(args.p_norm, ham, theta_spec, temp_spec)
-    if args.threads > 1:
-        thetas = grid.axis1_values
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            return _kernels.qubit_delta_cells(args.p_norm, args.h0, args.h_norm,
-                                              thetas[lo:hi], temps)
-
-        grid.cells = _parallel_rows(block, len(thetas), args.threads)
     grid.metadata = _grid_common_metadata(args, {
         "p_norm": fmt(args.p_norm), "h_norm": fmt(args.h_norm),
         "h0": fmt(args.h0),
@@ -98,22 +90,9 @@ def cmd_qubit_grid(args) -> int:
 def cmd_amplifier_grid(args) -> int:
     cfg = AmplifierConfig(omega0=args.omega0, omega=args.omega, k=args.k,
                           t=args.t, omega_t=args.omega_t)
-    temp_spec = parse_grid_spec(args.temp)
-    nbar_spec = parse_grid_spec(args.nbar)
+    temp_spec = _grid_spec(args.temp)
+    nbar_spec = _grid_spec(args.nbar)
     surface = amplifier_delta_surface(cfg, temp_spec, nbar_spec)
-    if args.threads > 1:
-        from .amplifier import amplifier_hamiltonian
-
-        h = amplifier_hamiltonian(cfg)
-        temps = surface.axis1_values
-        nbars = surface.axis2_values
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            return _kernels.amplifier_delta_cells(
-                temps[lo:hi], nbars, h.omega0, h.omega1, h.omega2.real,
-                h.omega2.imag, h.omega3)
-
-        surface.cells = _parallel_rows(block, len(temps), args.threads)
     surface.metadata = _grid_common_metadata(args, {
         "omega0": fmt(args.omega0), "omega": fmt(args.omega), "k": fmt(args.k),
         "t": fmt(args.t), "omega_t": fmt(args.omega_t),
@@ -142,12 +121,13 @@ def cmd_gaussian_z(args) -> int:
 def _read_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         tokens = fh.read().split("\n")
-    dim = int(tokens[0].strip())
-    rows = []
-    for line in tokens[1:]:
-        if line.strip():
-            rows.append([complex(tok) for tok in line.split()])
-    m = np.array(rows, dtype=complex)
+    try:
+        dim = int(tokens[0].strip())
+        rows = [[complex(tok) for tok in line.split()]
+                for line in tokens[1:] if line.strip()]
+        m = np.array(rows, dtype=complex)
+    except ValueError as exc:
+        raise UsageError(f"{path}: malformed matrix file ({exc})") from None
     if m.shape != (dim, dim):
         raise UsageError(f"{path}: expected {dim}x{dim} entries, got {m.shape}")
     return m
@@ -206,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="accepted for compatibility; does not affect output")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed into metadata; grids are deterministic")
 
@@ -261,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

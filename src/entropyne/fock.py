@@ -2,9 +2,12 @@
 quadrature moments of Gaussian kernels.
 
 Everything here recomputes the closed forms of the gaussian module by an
-independent route: explicit ladder-operator matrices plus dense
-eigendecomposition for traces, and deterministic quadrature of the position
-kernel for moments.  The kernel convention is rho(x, y) = <x|rho|y> with
+independent route: truncated number-basis traces for partition functions,
+and deterministic quadrature of the position kernel for moments.  The
+traces in stable_partition use parity-split tridiagonal eigensolves of the
+exact ladder matrix elements; the explicit ladder-operator matrices and
+their dense eigendecompositions remain for the other checks.  The kernel
+convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -76,16 +79,29 @@ def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
 
 
 def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
-    """Sorted truncated spectrum, built in the basis matched to the form.
+    """Sorted spectrum of H on the lowest n_max levels of the matched basis.
 
     The spectrum does not depend on the basis scale, so the number basis of
-    frequency sqrt(omega3/omega1) is used: it minimizes the squeezing between
-    basis and Hamiltonian and with it the truncation edge artifacts.
+    frequency w = sqrt(omega3/omega1) is used: it minimizes the squeezing
+    between basis and Hamiltonian and with it the truncation edge artifacts.
+    In any number basis
+
+        H = (n + 1/2)(omega1 w + omega3/w) + Im omega2 + c adag^2 + c* a^2,
+        c = (omega3/w - omega1 w)/2 + i Re omega2,
+
+    so H couples |n> only to |n +- 2>: the even-n and odd-n levels form two
+    Hermitian tridiagonal blocks.  A diagonal phase gauge makes their
+    off-diagonals |c| sqrt((n+1)(n+2)), and each block is solved by a
+    real symmetric tridiagonal eigensolve.
     """
-    p, q = ladder_matrices(FockTruncation(n_max, np.sqrt(h.omega3 / h.omega1)))
-    m = h.omega1 * (p @ p) + h.omega2 * (p @ q) \
-        + np.conj(h.omega2) * (q @ p) + h.omega3 * (q @ q)
-    return np.sort(scipy.linalg.eigvalsh(check_hermitian(m, tol=1e-9)))
+    w = np.sqrt(h.omega3 / h.omega1)
+    n = np.arange(n_max, dtype=float)
+    diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
+    c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
+    off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    blocks = [scipy.linalg.eigvalsh_tridiagonal(diag[parity::2], off[parity::2])
+              for parity in (0, 1)]
+    return np.sort(np.concatenate(blocks))
 
 
 def stable_partition(h: QuadraticHamiltonian, beta: float, n_start: int = 200,
@@ -93,32 +109,43 @@ def stable_partition(h: QuadraticHamiltonian, beta: float, n_start: int = 200,
     """Truncated trace grown until the n -> n + n_step relative change < 1e-10.
 
     Each trace keeps only the eigenvalues that agree between two truncation
-    sizes: truncating a matrix built from products of truncated ladder
-    operators injects a handful of spurious edge levels that drift with the
-    basis size, while the genuine low-lying spectrum is frozen.
+    sizes: a truncated basis carries a handful of spurious edge levels that
+    drift with the basis size, while the genuine low-lying spectrum is
+    frozen.  Each size's spectrum is computed once and reused as the lower
+    size of the next step.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    if h.omega1 * h.omega3 <= 0.0:
+        raise ValueError(
+            f"no matched number basis for {h}: omega1*omega3 must be positive"
+        )
     n = n_start
     z_prev = None
+    w_hi = _matched_basis_spectrum(h, n)
     while n <= n_cap:
-        w_lo = _matched_basis_spectrum(h, n)
-        w_hi = _matched_basis_spectrum(h, n + n_step)
+        w_lo, w_hi = w_hi, _matched_basis_spectrum(h, n + n_step)
+        n += n_step
         idx = np.searchsorted(w_hi, w_lo)
         idx_lo = np.clip(idx - 1, 0, len(w_hi) - 1)
         idx_hi = np.clip(idx, 0, len(w_hi) - 1)
         nearest = np.minimum(np.abs(w_hi[idx_lo] - w_lo), np.abs(w_hi[idx_hi] - w_lo))
         stable = w_lo[nearest <= 1e-8 * (1.0 + np.abs(w_lo))]
         if len(stable) == 0:
-            n += n_step
             continue
-        terms = np.exp(-beta * stable)
+        with np.errstate(over="ignore"):
+            terms = np.exp(-beta * stable)
         z = float(terms.sum())
+        if not np.isfinite(z):
+            # A spectrum unbounded below (negative-definite form) overflows
+            # here; an infinite sum must not pass the relative-change test.
+            raise TruncationUnstable(
+                f"partition sum overflows by n_max = {n} (beta = {beta})"
+            )
         if terms[-1] <= 1e-12 * z:
             if z_prev is not None and abs(z - z_prev) <= 1e-10 * abs(z):
                 return z
             z_prev = z
-        n += n_step
     raise TruncationUnstable(
         f"partition sum not stable by n_max = {n_cap} (beta = {beta})"
     )

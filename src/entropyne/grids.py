@@ -9,6 +9,7 @@ never as NaN text.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,8 +35,13 @@ def parse_grid_spec(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:count, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"grid spec needs numeric start:stop:count, got {text!r}") from None
+    # Also false for a non-finite start or stop (inf - inf is nan).
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid start, stop and their span must be finite, got {text!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     return GridSpec(start, stop, count)

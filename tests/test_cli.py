@@ -150,3 +150,61 @@ def test_threads_env_fallback():
     res = run_cli(QUBIT_ARGS, env=env, check=True)
     base = run_cli(QUBIT_ARGS, check=True)
     assert res.stdout == base.stdout
+
+
+def test_threads_do_not_recompute_cells(tmp_path, monkeypatch):
+    from entropyne import _kernels
+
+    counted = []
+    for name in ("qubit_delta_cells", "amplifier_delta_cells"):
+        kernel = getattr(_kernels, name)
+
+        def counting(*args, _kernel=kernel):
+            cells = _kernel(*args)
+            counted.append(cells.size)
+            return cells
+
+        monkeypatch.setattr(_kernels, name, counting)
+    amp_args = ["amplifier-grid", "--temp", "0.5:5:40", "--nbar", "0.5:4:50"]
+    totals = []
+    for threads in ("1", "2"):
+        counted.clear()
+        for args in (QUBIT_ARGS, amp_args):
+            assert main(args + ["--threads", threads,
+                                "--output", str(tmp_path / "out.csv")]) == 0
+        totals.append(sum(counted))
+    assert totals == [9 * 7 + 40 * 50] * 2
+
+
+@pytest.mark.parametrize("args", [
+    ["amplifier-grid", "--temp", "nan:2:2", "--nbar", "1:2:2"],
+    ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--theta", "0:inf:2",
+     "--temp", "1:2:2"],
+    ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--theta=-1e308:1e308:3",
+     "--temp", "1:2:2"],
+    ["amplifier-grid", "--temp", "0.5:2", "--nbar", "1:2:2"],
+    ["amplifier-grid", "--temp", "0.5:2:x", "--nbar", "1:2:2"],
+])
+def test_bad_grid_spec_exits_2(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: grid")
+
+
+def test_bad_threads_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ENTROPYNE_THREADS", "abc")
+    assert main(QUBIT_ARGS) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ENTROPYNE_THREADS must be an integer, got 'abc'\n"
+
+
+def test_empty_matrix_file_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(["tsallis", "--rho-file", str(empty), "--sigma-file", str(empty),
+                 "--q", "2"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {empty}: malformed matrix file")

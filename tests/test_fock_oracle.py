@@ -1,10 +1,13 @@
 """Truncated number-basis oracle: ladder algebra, traces, quadrature moments."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from entropyne import fock
 from entropyne import (
     FockTruncation,
     GaussianParams,
@@ -115,6 +118,67 @@ def test_stable_partition_unstable_for_tiny_beta():
     # beta so small the truncated sum keeps growing past the basis cap.
     with pytest.raises(TruncationUnstable):
         stable_partition(oscillator(1.0), 1e-3)
+
+
+# Forms for the dense cross-check.  The dense product matrix misplaces its
+# last level (by about -Im(omega2) N), so Im(omega2) <= 0 keeps that spurious
+# level above the 50 compared levels at every N.
+CROSS_CHECK_FORMS = [
+    oscillator(1.0),
+    QuadraticHamiltonian(omega0=1.0, omega1=0.3, omega2=0.25 + 0j, omega3=1.2),
+    QuadraticHamiltonian(omega0=1.3, omega1=0.6, omega2=0.2 - 0.3j, omega3=0.4),
+]
+
+
+def matched_dense_matrix(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
+    w = math.sqrt(h.omega3 / h.omega1)
+    return quadratic_hamiltonian_matrix(dataclasses.replace(h, omega0=w),
+                                        FockTruncation(n_max, w))
+
+
+@pytest.mark.parametrize("n_max", [200, 300, 550])
+@pytest.mark.parametrize("h", CROSS_CHECK_FORMS)
+def test_tridiagonal_spectrum_matches_dense(h, n_max):
+    dense = np.sort(scipy.linalg.eigvalsh(matched_dense_matrix(h, n_max)))[:50]
+    tridiagonal = fock._matched_basis_spectrum(h, n_max)[:50]
+    assert (np.abs(tridiagonal - dense) / np.abs(dense)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h", CROSS_CHECK_FORMS)
+def test_dense_matrix_has_no_cross_parity_coupling(h):
+    hm = matched_dense_matrix(h, 60)
+    n = np.arange(60)
+    cross = (n[:, None] + n[None, :]) % 2 == 1
+    assert np.abs(hm[cross]).max() == 0.0
+
+
+def test_stable_partition_solves_each_size_once(monkeypatch):
+    sizes = []
+    spectrum = fock._matched_basis_spectrum
+
+    def counting(h, n_max):
+        sizes.append(n_max)
+        return spectrum(h, n_max)
+
+    monkeypatch.setattr(fock, "_matched_basis_spectrum", counting)
+    stable_partition(random_quadratic_hamiltonian(2024), 1.0)
+    assert sizes == [200, 250, 300]
+
+
+@pytest.mark.parametrize("omega1, omega3", [(0.5, -0.5), (-0.5, 0.5), (0.0, 0.5)])
+def test_stable_partition_rejects_form_without_matched_basis(omega1, omega3):
+    h = QuadraticHamiltonian(omega0=1.0, omega1=omega1, omega2=0j, omega3=omega3)
+    with pytest.raises(ValueError, match="omega1\\*omega3 must be positive"):
+        stable_partition(h, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_stable_partition_unstable_for_negative_definite_form(beta):
+    # Spectrum unbounded below: the truncated sum grows with N, and at
+    # beta = 3 it overflows, which must not pass as a converged infinity.
+    h = QuadraticHamiltonian(omega0=1.0, omega1=-0.5, omega2=0j, omega3=-0.5)
+    with pytest.raises(TruncationUnstable):
+        stable_partition(h, beta)
 
 
 def test_exponential_diagonal_harmonic():
