@@ -51,12 +51,21 @@ def _grid_spec(text: str) -> GridSpec:
 
 
 def _write_output(grid: DeltaGrid, args) -> None:
-    text = grid.to_csv_text() if args.format == "csv" else grid.to_json_text()
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
+    """Stream the grid to --output, or to stdout."""
+    write = grid.write_csv if args.format == "csv" else grid.write_json
+    if args.output is not None:
         with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
+        return
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`) and wants no more output.
+        # Point stdout at devnull so that the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _grid_common_metadata(args, extra: dict) -> dict:

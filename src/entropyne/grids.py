@@ -4,14 +4,24 @@ Grid specs are (start, stop, count) with inclusive endpoints and uniform
 spacing, written start:stop:count on the command line.  Divergent cells are
 held as NaN internally and serialized as an empty CSV field / JSON null,
 never as NaN text.
+
+`DeltaGrid.write_csv` / `write_json` stream a grid to a text handle a block
+of rows at a time, so peak memory does not grow with the grid.  Each axis
+value is formatted once and each cell once, in one pass over the block
+(`%.17g` for CSV, `float.__repr__` for JSON).  The JSON bytes are those of
+`json.dumps(..., sort_keys=True, indent=2)`, whose pure-Python encoder
+(the one `indent` selects) is not used for the arrays.  `to_csv_text` /
+`to_json_text` return the same bytes as a string.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, cycle, repeat
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -47,9 +57,17 @@ def parse_grid_spec(text: str) -> GridSpec:
     return GridSpec(start, stop, count)
 
 
+_FLOAT_FORMAT = ".17g"
+
+# Cells formatted and written per block of rows (at least one row a block).
+# A block's text is about a megabyte whatever the grid size, so peak memory
+# stays flat, and the per-block overhead is negligible.
+_BLOCK_CELLS = 1 << 13
+
+
 def fmt(x: float) -> str:
     """17-significant-digit, locale-independent float formatting."""
-    return f"{x:.17g}"
+    return format(x, _FLOAT_FORMAT)
 
 
 @dataclass
@@ -70,41 +88,109 @@ class DeltaGrid:
         if self.cells.shape != expected:
             raise ValueError(f"cells shape {self.cells.shape} != {expected}")
 
-    def to_csv_text(self, value_name: str = "delta") -> str:
-        lines = []
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}={self.metadata[key]}")
+    def _row_blocks(self) -> list[tuple[int, int]]:
+        """(lo, hi) row ranges of about _BLOCK_CELLS cells each."""
+        n_rows, n_cols = self.cells.shape
+        if n_cols == 0:
+            return []
+        step = max(1, _BLOCK_CELLS // n_cols)
+        return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+    def _marker_texts(self, lo: int, hi: int) -> list[str]:
+        return list(map(str, self.markers[lo:hi].astype(int).ravel().tolist()))
+
+    def write_csv(self, out: TextIO, value_name: str = "delta") -> None:
+        """Write the grid as CSV to `out`, a block of rows at a time.
+
+        Metadata comes first as sorted `# key=value` lines, then the header
+        and one `axis1,axis2,value[,marker]` row per cell in row-major order.
+        """
+        lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         header = f"{self.axis1_name},{self.axis2_name},{value_name}"
         if self.marker_name is not None:
             header += f",{self.marker_name}"
-        lines.append(header)
-        for i, a in enumerate(self.axis1_values):
-            for j, b in enumerate(self.axis2_values):
-                v = self.cells[i, j]
-                cell = "" if np.isnan(v) else fmt(v)
-                row = f"{fmt(a)},{fmt(b)},{cell}"
-                if self.markers is not None:
-                    row += f",{int(self.markers[i, j])}"
-                lines.append(row)
-        return "\n".join(lines) + "\n"
+        out.write("\n".join(lines + [header]) + "\n")
+        n_cols = len(self.axis2_values)
+        cols = [fmt(b) + "," for b in self.axis2_values.tolist()]
+        for lo, hi in self._row_blocks():
+            rows = [fmt(a) + "," for a in self.axis1_values[lo:hi].tolist()]
+            fields = [chain.from_iterable(repeat(r, n_cols) for r in rows), cycle(cols),
+                      _csv_cells(self.cells[lo:hi].ravel())]
+            if self.markers is not None:
+                fields += [repeat(","), self._marker_texts(lo, hi)]
+            out.write("\n".join(map("".join, zip(*fields))) + "\n")
 
-    def to_json_dict(self) -> dict:
-        cells = [None if np.isnan(v) else v for v in self.cells.ravel()]
-        out = {
-            "axis1_name": self.axis1_name,
-            "axis2_name": self.axis2_name,
-            "axis1_values": list(self.axis1_values),
-            "axis2_values": list(self.axis2_values),
-            "cells": cells,
-            "metadata": self.metadata,
+    def write_json(self, out: TextIO) -> None:
+        """Write the grid as JSON to `out`, a block of rows at a time.
+
+        The bytes are those of `json.dumps(d, sort_keys=True, indent=2)`
+        plus a newline, where d holds the axis names and values, the cells
+        in row-major order (null for a divergent cell), the metadata and,
+        when there are markers, `marker_name` and the markers.
+        """
+        blocks = self._row_blocks()
+        fields = {
+            "axis1_name": [json.dumps(self.axis1_name)],
+            "axis1_values": _json_array([_json_floats(self.axis1_values, "NaN")]),
+            "axis2_name": [json.dumps(self.axis2_name)],
+            "axis2_values": _json_array([_json_floats(self.axis2_values, "NaN")]),
+            "cells": _json_array(_json_floats(self.cells[lo:hi].ravel(), "null")
+                                 for lo, hi in blocks),
+            # A nested value: its lines sit one level (two spaces) deeper.
+            "metadata": [json.dumps(self.metadata, sort_keys=True, indent=2)
+                         .replace("\n", "\n  ")],
         }
         if self.markers is not None:
-            out["marker_name"] = self.marker_name
-            out["markers"] = [int(m) for m in self.markers.ravel()]
-        return out
+            fields["marker_name"] = [json.dumps(self.marker_name)]
+            fields["markers"] = _json_array(self._marker_texts(lo, hi) for lo, hi in blocks)
+        sep = "{\n"
+        for key in sorted(fields):
+            out.write(f'{sep}  "{key}": ')
+            for chunk in fields[key]:
+                out.write(chunk)
+            sep = ",\n"
+        out.write("\n}\n")
+
+    def to_csv_text(self, value_name: str = "delta") -> str:
+        """The text `write_csv` writes."""
+        buf = io.StringIO()
+        self.write_csv(buf, value_name)
+        return buf.getvalue()
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """The text `write_json` writes."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
+
+
+def _csv_cells(cells: np.ndarray) -> list[str]:
+    """CSV text of each cell of the 1-D array `cells`; NaN is blank."""
+    texts = list(map(format, cells.tolist(), repeat(_FLOAT_FORMAT)))
+    for k in np.flatnonzero(np.isnan(cells)).tolist():
+        texts[k] = ""
+    return texts
+
+
+def _json_floats(values: np.ndarray, nan: str) -> list[str]:
+    """JSON text of each float of the 1-D array `values`, as `json` writes
+    it, except that a NaN becomes the text given as `nan`."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        v = values[k]
+        texts[k] = nan if np.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
+    return texts
+
+
+def _json_array(blocks: Iterable[list[str]]) -> Iterator[str]:
+    """Text chunks of a JSON array, indented as a value of a top-level key,
+    from blocks of already encoded items."""
+    empty = True
+    for items in blocks:
+        if items:
+            yield ("[\n    " if empty else ",\n    ") + ",\n    ".join(items)
+            empty = False
+    yield "[]" if empty else "\n  ]"
 
 
 def grid_from_json_dict(data: dict) -> DeltaGrid:

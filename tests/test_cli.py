@@ -176,6 +176,20 @@ def test_threads_do_not_recompute_cells(tmp_path, monkeypatch):
     assert totals == [9 * 7 + 40 * 50] * 2
 
 
+def test_reader_closing_stdout_early_is_not_an_error():
+    # About 11 MB of CSV, far more than a pipe buffers.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entropyne.cli", "qubit-grid", "--p-norm", "0.5",
+         "--h-norm", "1", "--theta", "0:3:400", "--temp", "0.5:5:500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"# ")
+    assert err == b""
+
+
 @pytest.mark.parametrize("args", [
     ["amplifier-grid", "--temp", "nan:2:2", "--nbar", "1:2:2"],
     ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--theta", "0:inf:2",

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from entropyne import cli
+from entropyne import cli, grids
 from entropyne.grids import DeltaGrid
 
 QUBIT = ["qubit-grid", "--p-norm", "0.5", "--h-norm", "3.7416573867739413",
@@ -111,6 +111,26 @@ def test_text_methods_match_cli_bytes(name, tmp_path, monkeypatch):
     grid, = written
     text = grid.to_json_text() if "json" in argv else grid.to_csv_text()
     assert text.encode("ascii") == out.read_bytes()
+
+
+@pytest.mark.parametrize("block_cells", [1, 13, 50])
+@pytest.mark.parametrize("name", ["amplifier-divergent-csv", "amplifier-divergent-json",
+                                  "qubit-many-rows-csv", "amplifier-many-rows-json",
+                                  "qubit-1x1-csv", "amplifier-1x1-json"])
+def test_block_size_does_not_change_bytes(name, block_cells, tmp_path, monkeypatch):
+    argv, digest = CASES[name]
+    monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
+    out = tmp_path / "grid.out"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+def test_many_rows_grid_ends_on_a_partial_block():
+    grid = DeltaGrid("a", "b", np.zeros(2001), np.zeros(11), np.zeros((2001, 11)))
+    blocks = grid._row_blocks()
+    assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == 2001
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(blocks, blocks[1:]))
+    assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
 
 
 def synthetic_grid():
