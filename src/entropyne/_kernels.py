@@ -44,9 +44,9 @@ def _qubit_grid_numba(p_norm, h0, h_norm, thetas, temps):  # pragma: no cover - 
         energy = 0.5 * (h0 + p_norm * h_norm * math.cos(thetas[i]))
         for j in range(temps.shape[0]):
             t = temps[j]
-            x = h_norm / (2.0 * t)
+            x = (0.5 * h_norm) / t
             ax = abs(x)
-            lnz = -h0 / (2.0 * t) + ax + math.log1p(math.exp(-2.0 * ax))
+            lnz = -(0.5 * h0) / t + ax + math.log1p(math.exp(-2.0 * ax))
             out[i, j] = energy - t * s + t * lnz
     return out
 
@@ -55,8 +55,9 @@ def _qubit_grid_numpy(p_norm, h0, h_norm, thetas, temps):
     s = _qubit_entropy(p_norm)
     energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
     t = temps[None, :]
-    ax = np.abs(h_norm / (2.0 * t))
-    lnz = -h0 / (2.0 * t) + ax + np.log1p(np.exp(-2.0 * ax))
+    # Halve the numerators, not double t: 2 t overflows for |t| > 8.9e307.
+    ax = np.abs((0.5 * h_norm) / t)
+    lnz = -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
     return energy - t * s + t * lnz
 
 

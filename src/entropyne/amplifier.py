@@ -108,11 +108,6 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
     )
     if np.isnan(cells).all():
         raise DivergentPartition("every cell diverged (hyperbolic domain fails)")
-    markers = np.zeros(cells.shape, dtype=int)
-    for j in range(cells.shape[1]):
-        col = cells[:, j]
-        if not np.isnan(col).all():
-            markers[np.nanargmin(col), j] = 1
     return DeltaGrid(
         axis1_name="T",
         axis2_name="nbar",
@@ -121,8 +116,17 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         cells=cells,
         metadata=metadata or {},
         marker_name="argmin",
-        markers=markers,
+        markers=_argmin_markers(cells),
     )
+
+
+def _argmin_markers(cells: np.ndarray) -> np.ndarray:
+    """1 at the row of each column's smallest non-NaN cell (the first on a
+    tie), 0 elsewhere; a column whose cells are all NaN has no marker."""
+    markers = np.zeros(cells.shape, dtype=int)
+    ok = ~np.isnan(cells).all(axis=0)
+    markers[np.nanargmin(cells[:, ok], axis=0), np.flatnonzero(ok)] = 1
+    return markers
 
 
 def _delta_at(cfg: AmplifierConfig, nbar: float, temperature: float) -> float:

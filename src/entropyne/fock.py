@@ -56,12 +56,17 @@ def ladder_matrices(tr: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
 
 def quadratic_hamiltonian_matrix(h: QuadraticHamiltonian,
                                  tr: FockTruncation) -> np.ndarray:
-    """H = w1 p^2 + w2 p q + w2* q p + w3 q^2 as an explicit matrix."""
+    """H = w1 p^2 + w2 p q + w2* q p + w3 q^2 as an explicit matrix.
+
+    Written as w1 p^2 + Re w2 (p q + q p) + Im w2 + w3 q^2, which uses
+    [p, q] = -i exactly: the truncated p q - q p is wrong in its last
+    diagonal entry, which would shift the last level by about -Im w2 N.
+    """
     if tr.omega0 != h.omega0:
         raise ValueError("truncation and Hamiltonian must share omega0")
     p, q = ladder_matrices(tr)
-    m = h.omega1 * (p @ p) + h.omega2 * (p @ q) \
-        + np.conj(h.omega2) * (q @ p) + h.omega3 * (q @ q)
+    m = h.omega1 * (p @ p) + h.omega2.real * (p @ q + q @ p) \
+        + h.omega2.imag * np.eye(tr.n_max) + h.omega3 * (q @ q)
     return check_hermitian(m, tol=1e-10)
 
 

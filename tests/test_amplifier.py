@@ -26,6 +26,7 @@ from entropyne import (
     thermal_light_covariance,
     thermal_light_fock,
 )
+from entropyne.amplifier import _argmin_markers
 
 CFG = AmplifierConfig()  # omega0=omega_t=1, omega=3, k=0.1, t=0
 
@@ -86,6 +87,35 @@ def test_surface_shape_sign_and_markers():
     assert np.nanmin(surface.cells) >= -1e-9
     assert surface.marker_name == "argmin"
     assert (surface.markers.sum(axis=0) == 1).all()
+
+
+def loop_argmin_markers(cells):
+    """Reference: one nanargmin per column that is not all NaN."""
+    markers = np.zeros(cells.shape, dtype=int)
+    for j in range(cells.shape[1]):
+        col = cells[:, j]
+        if not np.isnan(col).all():
+            markers[np.nanargmin(col), j] = 1
+    return markers
+
+
+def test_argmin_markers_match_column_loop():
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, 4, (40, 30)).astype(float)  # many ties
+    cells[rng.random(cells.shape) < 0.3] = np.nan
+    cells[:, [0, 7, 29]] = np.nan
+    cells[5:, 3] = np.nan            # a column with a single finite cell
+    cells[:, 4] = 2.0                # a column tied everywhere
+    cells[[2, 9], 5] = [-np.inf, -np.inf]
+    markers = _argmin_markers(cells)
+    assert np.array_equal(markers, loop_argmin_markers(cells))
+    assert markers[:, [0, 7, 29]].sum() == 0
+    assert markers[0, 4] == 1 and markers[2, 5] == 1
+    # The surface's markers on grids with divergent rows.
+    surface = amplifier_delta_surface(AmplifierConfig(k=0.5, t=0.3), GridSpec(0.2, 10.0, 8),
+                                      GridSpec(0.0, 4.0, 5))
+    assert np.isnan(surface.cells).any()
+    assert np.array_equal(surface.markers, loop_argmin_markers(surface.cells))
 
 
 def test_surface_all_divergent():

@@ -176,6 +176,16 @@ def test_threads_do_not_recompute_cells(tmp_path, monkeypatch):
     assert totals == [9 * 7 + 40 * 50] * 2
 
 
+def test_extreme_temperatures_print_no_warnings():
+    # 2 T overflows at |T| = 1e308; the cells themselves are finite.
+    res = run_cli(["qubit-grid", "--p-norm", "0.5", "--h-norm", "1",
+                   "--theta", "0:1e308:2", "--temp=-1e308:-1e300:3"])
+    assert res.returncode == 0
+    assert res.stderr == b""
+    cells = [line.split(b",")[2] for line in res.stdout.splitlines()[-6:]]
+    assert all(np.isfinite(float(c)) for c in cells)
+
+
 def test_reader_closing_stdout_early_is_not_an_error():
     # About 11 MB of CSV, far more than a pipe buffers.
     proc = subprocess.Popen(

@@ -41,6 +41,17 @@ def test_quadrature_entry():
     assert math.isclose(q[0, 1].real, 1.0 / math.sqrt(2.0), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("omega2", [0.6j, 0.2 + 0.7j, -0.3 + 0.4j])
+def test_hamiltonian_matrix_has_no_spurious_level(omega2):
+    # The Im omega2 constant once entered through the truncated commutator,
+    # which shifted the last level by about -Im(omega2) N: Z came out 4.39e8
+    # for omega2 = 0.6i, against the closed form 0.527.
+    h = QuadraticHamiltonian(omega0=1.0, omega1=0.5, omega2=omega2, omega3=0.5)
+    hm = quadratic_hamiltonian_matrix(h, FockTruncation(200, 1.0))
+    z, _ = truncated_partition(hm, 1.0)
+    assert abs(z - partition_function(h, 1.0)) <= 1e-12 * z
+
+
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
 def test_canonical_commutator(omega0):
     n_max = 30
