@@ -122,10 +122,18 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
 
 def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     """1 at the row of each column's smallest non-NaN cell (the first on a
-    tie), 0 elsewhere; a column whose cells are all NaN has no marker."""
+    tie), 0 elsewhere; a column whose cells are all NaN has no marker.
+
+    np.fmin skips NaN and the comparison finds the first row that holds the
+    minimum.  A column-wise np.nanargmin would copy the whole array (twice,
+    once to replace NaN), and would mark a NaN cell in a column whose
+    minimum is +inf with a NaN above it.
+    """
+    column_min = np.fmin.reduce(cells, axis=0)
+    ok = ~np.isnan(column_min)
+    rows = np.argmax(cells == column_min, axis=0)
     markers = np.zeros(cells.shape, dtype=int)
-    ok = ~np.isnan(cells).all(axis=0)
-    markers[np.nanargmin(cells[:, ok], axis=0), np.flatnonzero(ok)] = 1
+    markers[rows[ok], np.flatnonzero(ok)] = 1
     return markers
 
 

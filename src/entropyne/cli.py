@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 domain error.  Output is deterministic for fixed inputs and seed.  The grid
 subcommands accept --threads (default from ENTROPYNE_THREADS) for
-compatibility; it does not affect the work done or the output.
+compatibility; it does not affect the work done or the output.  They stream
+their output, and a reader that closes stdout early (`| head`) ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations

@@ -102,6 +102,7 @@ def loop_argmin_markers(cells):
 def test_argmin_markers_match_column_loop():
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 4, (40, 30)).astype(float)  # many ties
+    assert np.array_equal(_argmin_markers(cells), loop_argmin_markers(cells))
     cells[rng.random(cells.shape) < 0.3] = np.nan
     cells[:, [0, 7, 29]] = np.nan
     cells[5:, 3] = np.nan            # a column with a single finite cell
@@ -116,6 +117,14 @@ def test_argmin_markers_match_column_loop():
                                       GridSpec(0.0, 4.0, 5))
     assert np.isnan(surface.cells).any()
     assert np.array_equal(surface.markers, loop_argmin_markers(surface.cells))
+
+
+def test_argmin_marker_never_on_a_divergent_cell():
+    # Where a column's minimum is +inf below a NaN, nanargmin (the loop)
+    # marks the NaN row; the marker belongs on the +inf cell.
+    cells = np.array([[np.nan, 1.0], [np.inf, 2.0]])
+    assert loop_argmin_markers(cells)[0, 0] == 1
+    assert np.array_equal(_argmin_markers(cells), [[0, 1], [1, 0]])
 
 
 def test_surface_all_divergent():
