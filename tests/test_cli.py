@@ -188,14 +188,14 @@ def test_extreme_temperatures_print_no_warnings():
 
 def test_reader_closing_stdout_early_is_not_an_error():
     # About 11 MB of CSV, far more than a pipe buffers.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "entropyne.cli", "qubit-grid", "--p-norm", "0.5",
-         "--h-norm", "1", "--theta", "0:3:400", "--temp", "0.5:5:500"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "entropyne.cli", "qubit-grid", "--p-norm", "0.5",
+             "--h-norm", "1", "--theta", "0:3:400", "--temp", "0.5:5:500"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert first.startswith(b"# ")
     assert err == b""
 
