@@ -11,14 +11,12 @@ and zero exactly at equilibrium.  Closed forms are provided for qubits
 Hamiltonians handled through their hyperbolic normal form), with an
 independent truncated number-basis / quadrature verification layer.
 
-Environment switches:
-    ENTROPYNE_BACKEND  "numba" (default) or "numpy" grid kernels
+Environment:
     ENTROPYNE_THREADS  default thread count for CLI grid sweeps
 """
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
 from .amplifier import (
     AmplifierConfig,
     ThermalLight,
@@ -116,7 +114,6 @@ from .verify import run_verification
 
 __all__ = [
     "__version__",
-    "backend_name",
     # amplifier
     "AmplifierConfig",
     "ThermalLight",

@@ -1,8 +1,7 @@
-"""Hot grid kernels, compiled with numba or run as vectorized numpy.
+"""Hot grid kernels, vectorized with numpy.
 
-Both backends implement identical formulas; `ENTROPYNE_BACKEND=numpy`
-selects the vectorized path (see _backend).  Cells where the quadratic
-Hamiltonian has no convergent partition function are NaN.
+Cells where the quadratic Hamiltonian has no convergent partition function
+are NaN.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._backend import njit, USE_NUMBA
 
 _DENOM_EPS = 1e-14
 
@@ -32,25 +29,6 @@ def _ln_2cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax))
 
 
-@njit(cache=True)
-def _qubit_grid_numba(p_norm, h0, h_norm, thetas, temps):  # pragma: no cover - numba
-    out = np.empty((thetas.shape[0], temps.shape[0]))
-    s = math.log(2.0)
-    if p_norm > 0.0:
-        s -= 0.5 * (1.0 + p_norm) * math.log(1.0 + p_norm)
-        if p_norm < 1.0:
-            s -= 0.5 * (1.0 - p_norm) * math.log(1.0 - p_norm)
-    for i in range(thetas.shape[0]):
-        energy = 0.5 * (h0 + p_norm * h_norm * math.cos(thetas[i]))
-        for j in range(temps.shape[0]):
-            t = temps[j]
-            x = (0.5 * h_norm) / t
-            ax = abs(x)
-            lnz = -(0.5 * h0) / t + ax + math.log1p(math.exp(-2.0 * ax))
-            out[i, j] = energy - t * s + t * lnz
-    return out
-
-
 def _qubit_grid_numpy(p_norm, h0, h_norm, thetas, temps):
     s = _qubit_entropy(p_norm)
     energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
@@ -66,50 +44,7 @@ def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
     """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     temps = np.ascontiguousarray(temps, dtype=np.float64)
-    if USE_NUMBA:
-        return _qubit_grid_numba(p_norm, h0, h_norm, thetas, temps)
     return _qubit_grid_numpy(p_norm, h0, h_norm, thetas, temps)
-
-
-@njit(cache=True)
-def _log_z_scalar_numba(beta, omega0, omega1, omega2_re, omega2_im, omega3):  # pragma: no cover
-    big = omega0 * omega1 + omega3 / omega0
-    g1sq = 0.25 * (omega3 / omega0 - omega0 * omega1) ** 2 + omega2_re * omega2_re
-    weff2 = big * big - 4.0 * g1sq
-    if weff2 <= 0.0:
-        return math.nan
-    weff = math.sqrt(weff2)
-    phi = beta * weff
-    r = big / weff
-    e2 = math.exp(-2.0 * phi)
-    den_s = (1.0 + r) + (1.0 - r) * e2
-    if den_s <= 0.0:
-        return math.nan
-    ln_sqrt_zeta = -(phi + math.log(0.5 * den_s))
-    sz = math.exp(ln_sqrt_zeta)
-    u = (1.0 - e2) / den_s
-    denom = 1.0 - 2.0 * sz + sz * sz - (r * r - 1.0) * u * u
-    if denom <= _DENOM_EPS:
-        return math.nan
-    return 0.5 * ln_sqrt_zeta - beta * omega2_im - 0.5 * math.log(denom)
-
-
-@njit(cache=True)
-def _amplifier_grid_numba(temps, nbars, omega0, omega1, omega2_re, omega2_im,
-                          omega3):  # pragma: no cover - numba
-    out = np.empty((temps.shape[0], nbars.shape[0]))
-    for i in range(temps.shape[0]):
-        lnz = _log_z_scalar_numba(1.0 / temps[i], omega0, omega1, omega2_re,
-                                  omega2_im, omega3)
-        for j in range(nbars.shape[0]):
-            nb = nbars[j]
-            energy = (omega1 * omega0 + omega3 / omega0) * (1.0 + 2.0 * nb) / 2.0 \
-                + omega2_im
-            s = (1.0 + nb) * math.log(1.0 + nb)
-            if nb > 0.0:
-                s -= nb * math.log(nb)
-            out[i, j] = energy - temps[i] * s + temps[i] * lnz
-    return out
 
 
 def _log_z_vector_numpy(beta, omega0, omega1, omega2_re, omega2_im, omega3):
@@ -160,8 +95,5 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, omega0: float,
     """
     temps = np.ascontiguousarray(temps, dtype=np.float64)
     nbars = np.ascontiguousarray(nbars, dtype=np.float64)
-    if USE_NUMBA:
-        return _amplifier_grid_numba(temps, nbars, omega0, omega1, omega2_re,
-                                     omega2_im, omega3)
     return _amplifier_grid_numpy(temps, nbars, omega0, omega1, omega2_re,
                                  omega2_im, omega3)

@@ -25,7 +25,6 @@ import sys
 import numpy as np
 
 from . import __version__, fock, gaussian, verify
-from ._backend import backend_name
 from .amplifier import AmplifierConfig, amplifier_delta_surface
 from .errors import DomainError, EntropyneError
 from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec  # noqa: F401 (DeltaGrid re-exported for callers)
@@ -73,7 +72,6 @@ def _write_output(grid: DeltaGrid, args) -> None:
 def _grid_common_metadata(args, extra: dict) -> dict:
     meta = {
         "tool_version": __version__,
-        "backend": backend_name(),
         "seed": args.seed,
         "subcommand": args.subcommand,
     }

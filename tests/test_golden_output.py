@@ -25,46 +25,46 @@ JSON = ["--format", "json"]
 CASES = {
     "qubit-negative-t-csv": (
         QUBIT + ["--theta", "0:3.14159:9", "--temp=-5:-0.5:7"],
-        "502d43f30a4285ca4088f18bec84765853c1e105db8d9bc660360a9fdcbaec5b"),
+        "855b7a12d4c7caf0c6cce6ccc438a2446dda7b6c3a2ca499de79d196e4a9e4b7"),
     "qubit-negative-t-json": (
         QUBIT + ["--theta", "0:3.14159:9", "--temp=-5:-0.5:7"] + JSON,
-        "28c91ffb02f54e70e7fe5afb212961afd1d20202baca2995ed824023c67dc97e"),
+        "3b6b83a08aef72aaff13aab4e866534031466227061f84b4e2c92491b638a9cf"),
     "amplifier-markers-csv": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"],
-        "d7c53cc44ffe7257605979368846ee2aa64c8e7fd8d806ba9bbf8c8a95616fe8"),
+        "59300d8e8e343efa60bbbb79baea4eecc567b7fbe2dbdcae7da916baec3f0bf7"),
     "amplifier-markers-json": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"] + JSON,
-        "027538df37e9b2891d80c7925b347f82dc57659259a06461b63191e68bfc556b"),
+        "539d3ef8139bb9e8535aaecb89ef316aa8f4aa53e98f162d1e9f764a8ad23672"),
     # Rows 0 and 3-5 diverge (blank / null cells); the others do not.
     "amplifier-divergent-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
-        "41338823dcc69f59d1b803572085c86f040e71dcf43ddb0b36b9929a85de5a41"),
+        "9e5f693eb98ae3f428c7df326a8c8eccfd8999a00cd0ea538cad24e0b4fbaceb"),
     "amplifier-divergent-json": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
-        "f5b179f5ea847a750eedfd44af57ecc58429dd764afe9b9ae19673a9470556c5"),
+        "f5efe5d89d039ae227f3fc985fe105d3c42629c95cbeaeedfea39d3679d77290"),
     # The T = 1e-300 column overflows to +inf.
     "qubit-infinite-csv": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
          "--theta", "0:3:2", "--temp", "1e-300:1:3"],
-        "f171d3ceb5e91eb0c831b5885ed4a9cc1537dff8f305f6765319e8170a44d50f"),
+        "f599eb55f3588341d8c5b109a4b1d1361904d5f5987cd4fbf75448f03ff362ac"),
     "qubit-infinite-json": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
          "--theta", "0:3:2", "--temp", "1e-300:1:3"] + JSON,
-        "87677befc857890eed36769e361d0af4dc36f5ec55fddd89b1e70e763ac76693"),
+        "fbcb151ffbf51c7aaf2001f8fcb9ab1e04b3edfce9c409632e7d36bb769655b3"),
     # 2001 rows: several row blocks with a partial last block.
     "qubit-many-rows-csv": (
         QUBIT + ["--theta", "0:3.14159:2001", "--temp", "0.5:5:11"],
-        "819b1fb662eab0ade494f9abe465926ffbdd0cdacf4fdd8633d912fdf990086f"),
+        "5859f45121607a6894ea6c8799b3405b8ae55aaf7213b022df904e93e49c2b81"),
     "amplifier-many-rows-json": (
         AMPLIFIER + ["--temp", "0.5:5:2001", "--nbar", "0.5:4:11"] + JSON,
-        "96e8891a06b69f8e59b165f76a8360180e588387332a60ddbca3d2855baefcf2"),
+        "278a76d2948a96afb40b89ffa8fbabad444060ce0d97b9d846b91cc7f8a9f482"),
     "qubit-1x1-csv": (
         QUBIT + ["--theta", "1:1:1", "--temp", "2:2:1"],
-        "3cd0f15fab5acf9190480d4e87a552e6d2f7599536caa2c600067505713a7752"),
+        "f205d7a6a67a1d269198c19ab30014c40b51339b8c16bcf48b86f55bc35f936a"),
     "amplifier-1x1-json": (
         AMPLIFIER + ["--temp", "2:2:1", "--nbar", "1:1:1"] + JSON,
-        "657ddafbff82242fb80f6d01957b6813053c695ac73c73168a753a59103276a0"),
+        "3aa8eb2d2545d8588dd7d5ea28fcfb3a126779baaba6046b2319d67a71540626"),
 }
 
 
