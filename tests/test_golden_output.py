@@ -43,6 +43,15 @@ CASES = {
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
         "f5efe5d89d039ae227f3fc985fe105d3c42629c95cbeaeedfea39d3679d77290"),
+    # A positive-definite form whose rows at T >= 3.34e7 diverge (blank / null
+    # cells): there beta omega_eff is so small that the closed form's
+    # denominator is rounding noise.
+    "amplifier-partial-csv": (
+        AMPLIFIER + ["--temp", "1e5:1e8:4", "--nbar", "1:2:2"],
+        "afc3f2e23a043d00eb7d31443972a5c37304e19eccc7735ab1ea0d483003312d"),
+    "amplifier-partial-json": (
+        AMPLIFIER + ["--temp", "1e5:1e8:4", "--nbar", "1:2:2"] + JSON,
+        "dfa71f24b965e3bf1aadc91de1716ca104f28fdaaa7b482dd5ae67143891e930"),
     # The T = 1e-300 column overflows to +inf.
     "qubit-infinite-csv": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
@@ -115,6 +124,7 @@ def test_text_methods_match_cli_bytes(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("block_cells", [1, 13, 50])
 @pytest.mark.parametrize("name", ["amplifier-divergent-csv", "amplifier-divergent-json",
+                                  "amplifier-partial-csv", "amplifier-partial-json",
                                   "qubit-many-rows-csv", "amplifier-many-rows-json",
                                   "qubit-1x1-csv", "amplifier-1x1-json"])
 def test_block_size_does_not_change_bytes(name, block_cells, tmp_path, monkeypatch):
