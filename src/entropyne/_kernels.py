@@ -1,5 +1,8 @@
-"""Hot grid kernels, vectorized with numpy.
+"""The closed-form log partition functions and the grid kernels built on them.
 
+Each function takes a float or a numpy array where it says so; the scalar
+library (`qubit`, `gaussian`) calls the same code at one point, so a grid
+cell and a scalar record agree on the value and on whether it diverges.
 Cells where the quadratic Hamiltonian has no convergent partition function
 are NaN.
 """
@@ -11,6 +14,14 @@ import math
 import numpy as np
 
 _DENOM_EPS = 1e-14
+# A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
+# units of w1 w3: a few ulps, so that a marginal form whose g is rounding
+# noise around 0 diverges instead of giving a noise-sized frequency.
+_FORM_RTOL = 4.0 * np.finfo(np.float64).eps
+# xi below caps phi here.  r^2 - 1 is 0 or at least ~1e-16 in size, and
+# sinh(40)^2 > 1e34, so capping changes no `xi < 1` decision, and it keeps
+# sinh^2 and its product with r^2 - 1 finite.
+_PHI_CAP = 40.0
 
 
 def _qubit_entropy(p_norm: float) -> float:
@@ -23,66 +34,73 @@ def _qubit_entropy(p_norm: float) -> float:
     return s
 
 
-def _ln_2cosh(x: float) -> float:
-    """ln(2 cosh x) without overflow."""
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax))
-
-
-def _qubit_grid_numpy(p_norm, h0, h_norm, thetas, temps):
-    s = _qubit_entropy(p_norm)
-    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
-    t = temps[None, :]
+def qubit_log_z(h0, h_norm, t):
+    """ln Tr e^{-H/T} = -h0/(2T) + ln(2 cosh(|h|/(2T))) for T a float or an array."""
     # Halve the numerators, not double t: 2 t overflows for |t| > 8.9e307.
     ax = np.abs((0.5 * h_norm) / t)
-    lnz = -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
-    return energy - t * s + t * lnz
+    return -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
 
 
 def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
                       thetas: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    temps = np.ascontiguousarray(temps, dtype=np.float64)
-    return _qubit_grid_numpy(p_norm, h0, h_norm, thetas, temps)
+    t = np.ascontiguousarray(temps, dtype=np.float64)[None, :]
+    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
+    return energy - t * _qubit_entropy(p_norm) + t * qubit_log_z(h0, h_norm, t)
 
 
-def _log_z_vector_numpy(beta, omega0, omega1, omega2_re, omega2_im, omega3):
-    beta = np.asarray(beta, dtype=np.float64)
+def effective_frequency(omega0: float, omega1: float, omega2_re: float,
+                        omega3: float) -> float:
+    """Normal-mode frequency of H = w1 p^2 + 2 Re(w2) pq + w3 q^2, or NaN.
+
+    The partition function converges only for a positive-definite form:
+    w1 > 0 and g = w1 w3 - Re(w2)^2 > _FORM_RTOL w1 w3.  Any other form,
+    NaN coefficients included, gets NaN.
+    """
+    g = omega1 * omega3 - omega2_re * omega2_re
+    if not (omega1 > 0.0 and g > _FORM_RTOL * omega1 * omega3):
+        return math.nan
     big = omega0 * omega1 + omega3 / omega0
     g1sq = 0.25 * (omega3 / omega0 - omega0 * omega1) ** 2 + omega2_re**2
+    # Equal to 4 g in exact arithmetic, but it cancels down from big^2, so
+    # for omega0 far from sqrt(w3/w1) its rounding can still reach 0.
     weff2 = big * big - 4.0 * g1sq
-    if weff2 <= 0.0:
-        return np.full_like(beta, np.nan)
-    weff = math.sqrt(weff2)
+    return math.sqrt(weff2) if weff2 > 0.0 else math.nan
+
+
+def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
+    """ln Z of a quadratic Hamiltonian at inverse temperature beta > 0.
+
+    beta is a float or an array; k0 = w0 w1 + w3/w0 and weff comes from
+    `effective_frequency` (NaN there gives NaN here).  The su(1,1) closed
+    form is ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} / (1 - 2 zeta^{1/2} +
+    zeta (1 - xi))^{1/2}].  NaN marks a beta where it fails a check: the
+    denominator is not above _DENOM_EPS, or the diagonal-element sum's
+    Legendre growth ratio reaches 1.
+    """
     phi = beta * weff
-    r = big / weff
+    r = k0 / weff
     e2 = np.exp(-2.0 * phi)
+    # A positive-definite form has r >= 1, so den_s > 0.
     den_s = (1.0 + r) + (1.0 - r) * e2
-    bad = den_s <= 0.0
-    den_s = np.where(bad, 1.0, den_s)
     ln_sqrt_zeta = -(phi + np.log(0.5 * den_s))
     sz = np.exp(ln_sqrt_zeta)
     u = (1.0 - e2) / den_s
-    denom = 1.0 - 2.0 * sz + sz * sz - (r * r - 1.0) * u * u
-    bad |= denom <= _DENOM_EPS
-    denom = np.where(bad, 1.0, denom)
-    lnz = 0.5 * ln_sqrt_zeta - beta * omega2_im - 0.5 * np.log(denom)
+    zeta_xi = (r * r - 1.0) * u * u
+    denom = 1.0 - 2.0 * sz + sz * sz - zeta_xi
+    # Growth bound of the diagonal-element sum (Legendre asymptotics); it
+    # applies where xi < 1.  Adding a mask (0 or 1) to |x| keeps each sqrt
+    # and log argument positive where its result is not used, at a fraction
+    # of np.where's cost on a float beta.
+    xi = (r * r - 1.0) * np.sinh(np.minimum(phi, _PHI_CAP)) ** 2
+    legendre = xi < 1.0
+    z = 1.0 / np.sqrt(np.abs(1.0 - xi) + ~legendre)
+    growth = np.sqrt(np.maximum(sz * sz - zeta_xi, 0.0)) \
+        * (z + np.sqrt(np.maximum(z * z - 1.0, 0.0)))
+    bad = (denom <= _DENOM_EPS) | (legendre & (growth >= 1.0))
+    lnz = 0.5 * ln_sqrt_zeta - beta * omega2_im - 0.5 * np.log(np.abs(denom) + bad)
     return np.where(bad, np.nan, lnz)
-
-
-def _amplifier_grid_numpy(temps, nbars, omega0, omega1, omega2_re, omega2_im,
-                          omega3):
-    lnz = _log_z_vector_numpy(1.0 / temps, omega0, omega1, omega2_re,
-                              omega2_im, omega3)[:, None]
-    nb = nbars[None, :]
-    energy = (omega1 * omega0 + omega3 / omega0) * (1.0 + 2.0 * nb) / 2.0 \
-        + omega2_im
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
-            np.where(nb > 0.0, nb, 1.0)), 0.0)
-    t = temps[:, None]
-    return energy - t * s + t * lnz
 
 
 def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, omega0: float,
@@ -94,6 +112,13 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, omega0: float,
     partition function.
     """
     temps = np.ascontiguousarray(temps, dtype=np.float64)
-    nbars = np.ascontiguousarray(nbars, dtype=np.float64)
-    return _amplifier_grid_numpy(temps, nbars, omega0, omega1, omega2_re,
-                                 omega2_im, omega3)
+    nb = np.ascontiguousarray(nbars, dtype=np.float64)[None, :]
+    k0 = omega0 * omega1 + omega3 / omega0
+    weff = effective_frequency(omega0, omega1, omega2_re, omega3)
+    lnz = gaussian_log_z(1.0 / temps, k0, weff, omega2_im)[:, None]
+    energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
+            np.where(nb > 0.0, nb, 1.0)), 0.0)
+    t = temps[:, None]
+    return energy - t * s + t * lnz

@@ -137,11 +137,6 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     return markers
 
 
-def _delta_at(cfg: AmplifierConfig, nbar: float, temperature: float) -> float:
-    state = thermal_light_covariance(ThermalLight(nbar, cfg.omega_t), cfg.omega0)
-    return gaussian_delta(state, amplifier_hamiltonian(cfg), temperature).delta
-
-
 def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
                              bracket: tuple[float, float],
                              rel_tol: float = 1e-6) -> float:
@@ -151,20 +146,26 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         raise BracketError(f"invalid bracket {bracket}")
     if nbar <= 0.0:
         raise DomainError("nbar must be positive")
+    state = thermal_light_covariance(ThermalLight(nbar, cfg.omega_t), cfg.omega0)
+    h = amplifier_hamiltonian(cfg)
+
+    def delta(temperature: float) -> float:
+        return gaussian_delta(state, h, temperature).delta
+
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _delta_at(cfg, nbar, c)
-    fd = _delta_at(cfg, nbar, d)
+    fc = delta(c)
+    fd = delta(d)
     while (b - a) > rel_tol * max(a, 1e-12):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _delta_at(cfg, nbar, c)
+            fc = delta(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _delta_at(cfg, nbar, d)
+            fd = delta(d)
     t_star = 0.5 * (a + b)
     edge = rel_tol * max(t_star, 1.0) * 4.0
     if t_star - lo < edge or hi - t_star < edge:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .entropy import DeltaRecord, delta_from_scalars
 from .errors import (
     DivergentPartition,
@@ -37,7 +38,6 @@ from .errors import (
 )
 
 _MARGIN = 1e-12
-_DENOM_EPS = 1e-14
 # sinh overflows double precision near phi ~ 710; past this xi is huge anyway.
 _PHI_OVERFLOW = 350.0
 
@@ -110,8 +110,10 @@ class QuadraticHamiltonian:
         return self.omega0 * self.omega1 + self.omega3 / self.omega0
 
     @property
-    def effective_frequency_sq(self) -> float:
-        return self.k0_coefficient**2 - 4.0 * abs(self.gamma1) ** 2
+    def effective_frequency(self) -> float:
+        """Normal-mode frequency 2 sqrt(w1 w3 - Re(w2)^2); NaN unless positive definite."""
+        return _kernels.effective_frequency(self.omega0, self.omega1,
+                                            self.omega2.real, self.omega3)
 
 
 @dataclass(frozen=True)
@@ -173,40 +175,43 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
     )
 
 
+def _checked(h: QuadraticHamiltonian, beta: float) -> float:
+    """The effective frequency of h, once beta > 0 and the form are accepted."""
+    if not beta > 0.0:
+        raise NegativeBeta("the partition function requires beta > 0")
+    weff = h.effective_frequency
+    if math.isnan(weff):
+        raise HyperbolicDomain(
+            "the form is not positive definite: no convergent partition function"
+        )
+    return weff
+
+
 def _stable_pieces(h: QuadraticHamiltonian, beta: float):
     """Overflow-safe building blocks of the disentangled exponential.
 
-    Returns (phi, ln_den, u, xi) where ln_den = ln(cosh phi + r sinh phi),
-    u = sinh phi / (cosh phi + r sinh phi) and r is the ratio of the
-    number-generator coefficient to the effective frequency.
+    Returns (phi, weff, r, ln_den, u, xi) where r is the ratio of the
+    number-generator coefficient to the effective frequency weff,
+    ln_den = ln(cosh phi + r sinh phi) and u = sinh phi / (cosh phi + r sinh phi).
     """
-    if beta <= 0.0:
-        raise NegativeBeta("the partition function requires beta > 0")
-    weff2 = h.effective_frequency_sq
-    if weff2 <= 0.0:
-        raise HyperbolicDomain(
-            "effective frequency squared <= 0: no convergent partition function"
-        )
-    weff = math.sqrt(weff2)
+    weff = _checked(h, beta)
     phi = beta * weff
     r = h.k0_coefficient / weff
     e2 = math.exp(-2.0 * phi)
+    # A positive-definite form has r >= 1, so den_s > 0.
     den_s = (1.0 + r) + (1.0 - r) * e2
-    if den_s <= 0.0:
-        raise DivergentPartition("exponential trace diverges (negative mode weight)")
     ln_den = phi + math.log(0.5 * den_s)
     u = (1.0 - e2) / den_s
     if phi > _PHI_OVERFLOW:
         xi = math.inf if abs(h.gamma1) > 0.0 else 0.0
     else:
         xi = (r * r - 1.0) * math.sinh(phi) ** 2
-    return phi, ln_den, u, xi
+    return phi, weff, r, ln_den, u, xi
 
 
 def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
     """Coefficients of e^{-beta H} = e^{-beta Im(w2)} e^{A+ K+} e^{ln(A0) K0} e^{A- K-}."""
-    phi, ln_den, u, xi = _stable_pieces(h, beta)
-    weff = math.sqrt(h.effective_frequency_sq)
+    phi, weff, _, ln_den, u, xi = _stable_pieces(h, beta)
     a_zero = math.exp(-2.0 * ln_den)
     a_plus = (-2.0 * h.gamma1.conjugate() / weff) * u
     a_minus = (-2.0 * h.gamma1 / weff) * u
@@ -223,21 +228,12 @@ def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
 
 def log_partition_function(h: QuadraticHamiltonian, beta: float) -> float:
     """ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} / (1 - 2 zeta^{1/2} + zeta(1-xi))^{1/2}]."""
-    phi, ln_den, u, xi = _stable_pieces(h, beta)
-    sqrt_zeta = math.exp(-ln_den)
-    r = h.k0_coefficient / math.sqrt(h.effective_frequency_sq)
-    zeta_xi = (r * r - 1.0) * u * u
-    denom = 1.0 - 2.0 * sqrt_zeta + sqrt_zeta * sqrt_zeta - zeta_xi
-    if denom <= _DENOM_EPS:
-        raise DivergentPartition(f"denominator {denom:.3e} is not positive")
-    if xi < 1.0:
-        # Growth bound of the diagonal-element sum (Legendre asymptotics).
-        z = 1.0 / math.sqrt(1.0 - xi)
-        growth = math.sqrt(max(sqrt_zeta**2 - zeta_xi, 0.0)) \
-            * (z + math.sqrt(max(z * z - 1.0, 0.0)))
-        if growth >= 1.0:
-            raise DivergentPartition(f"diagonal-element sum diverges (ratio {growth})")
-    return -0.5 * ln_den - beta * h.omega2.imag - 0.5 * math.log(denom)
+    weff = _checked(h, beta)
+    log_z = float(_kernels.gaussian_log_z(beta, h.k0_coefficient, weff,
+                                          h.omega2.imag))
+    if math.isnan(log_z):
+        raise DivergentPartition(f"the closed form diverges at beta = {beta}")
+    return log_z
 
 
 def partition_function(h: QuadraticHamiltonian, beta: float) -> float:
@@ -260,10 +256,9 @@ def legendre_pn(n: int, z: float) -> float:
 
 def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float:
     """<n| e^{-beta H} |n> = e^{-beta Im(w2)} A0^{1/4} (A0(1-xi))^{n/2} P_n(1/sqrt(1-xi))."""
-    phi, ln_den, u, xi = _stable_pieces(h, beta)
+    _, _, r, ln_den, u, xi = _stable_pieces(h, beta)
     if xi >= 1.0:
         raise DomainError(f"xi = {xi} >= 1: Legendre argument is not real")
-    r = h.k0_coefficient / math.sqrt(h.effective_frequency_sq)
     a_zero = math.exp(-2.0 * ln_den)
     a_zero_xi = (r * r - 1.0) * u * u
     t = math.sqrt(max(a_zero - a_zero_xi, 0.0))

@@ -91,9 +91,7 @@ def log_partition_qubit(bh: BlochHamiltonian, temperature: float) -> float:
     """ln Tr(e^{-H/T}) = -h0/(2T) + ln(2 cosh(|h|/(2T)))."""
     if temperature == 0.0:
         raise ZeroTemperature("T = 0 is not supported")
-    return -bh.h0 / (2.0 * temperature) + _kernels._ln_2cosh(
-        bh.norm / (2.0 * temperature)
-    )
+    return float(_kernels.qubit_log_z(bh.h0, bh.norm, temperature))
 
 
 def qubit_observables(s: BlochState, bh: BlochHamiltonian,

@@ -252,14 +252,15 @@ def check_entropy_identity(seed: int, quick: bool) -> FamilyResult:
 
 
 def check_amplifier_k0(seed: int, quick: bool) -> FamilyResult:
-    cfg = amplifier.AmplifierConfig(k=0.0)
+    h = amplifier.amplifier_hamiltonian(amplifier.AmplifierConfig(k=0.0))
     worst = 0.0
     for nbar in (0.5, 1.0, 2.0, 5.0):
+        cov = amplifier.thermal_light_covariance(amplifier.ThermalLight(nbar), 1.0)
         t_exact = 1.0 / math.log1p(1.0 / nbar)
-        at_exact = amplifier._delta_at(cfg, nbar, t_exact)
+        at_exact = gaussian.gaussian_delta(cov, h, t_exact).delta
         worst = max(worst, abs(at_exact) / 1e-9)
         for factor in (0.8, 1.2):
-            if amplifier._delta_at(cfg, nbar, factor * t_exact) <= 0.0:
+            if gaussian.gaussian_delta(cov, h, factor * t_exact).delta <= 0.0:
                 worst = max(worst, 2.0)
     cfg_k = amplifier.AmplifierConfig(k=0.1)
     for nbar in (0.5, 2.0, 5.0):

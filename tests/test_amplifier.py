@@ -113,8 +113,8 @@ def test_argmin_markers_match_column_loop():
     assert markers[:, [0, 7, 29]].sum() == 0
     assert markers[0, 4] == 1 and markers[2, 5] == 1
     # The surface's markers on grids with divergent rows.
-    surface = amplifier_delta_surface(AmplifierConfig(k=0.5, t=0.3), GridSpec(0.2, 10.0, 8),
-                                      GridSpec(0.0, 4.0, 5))
+    surface = amplifier_delta_surface(AmplifierConfig(), GridSpec(1e5, 1e8, 4),
+                                      GridSpec(1.0, 2.0, 2))
     assert np.isnan(surface.cells).any()
     assert np.array_equal(surface.markers, loop_argmin_markers(surface.cells))
 
@@ -144,7 +144,7 @@ def test_argmin_matches_entropy_matching_temperature(nbar):
     # The minimum over T sits where the thermal entropy of the effective
     # oscillator matches the probe entropy: T* = w_eff / ln(1 + 1/nbar).
     h = amplifier_hamiltonian(CFG)
-    w_eff = math.sqrt(h.effective_frequency_sq)
+    w_eff = h.effective_frequency
     expected = w_eff / math.log(1.0 + 1.0 / nbar)
     t_star = delta_argmin_temperature(CFG, nbar, (0.1, 10.0 * nbar))
     assert abs(t_star - expected) <= 1e-4 * expected

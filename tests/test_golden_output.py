@@ -4,6 +4,8 @@ The hashes were recorded from the CLI before grid output was streamed; a
 change to how grids are serialized must leave every one of them unchanged.
 Each case is written both to stdout and to --output FILE, and
 `to_csv_text()` / `to_json_text()` must give the same bytes as the CLI.
+A case whose every cell diverges has no hash: it must exit 3 with one
+`error:` line on stderr and write nothing.
 """
 
 import hashlib
@@ -21,7 +23,9 @@ QUBIT = ["qubit-grid", "--p-norm", "0.5", "--h-norm", "3.7416573867739413",
 AMPLIFIER = ["amplifier-grid"]
 JSON = ["--format", "json"]
 
-# name -> (argv, sha256 of the output bytes)
+DIVERGED = None
+
+# name -> (argv, sha256 of the output bytes, or DIVERGED)
 CASES = {
     "qubit-negative-t-csv": (
         QUBIT + ["--theta", "0:3.14159:9", "--temp=-5:-0.5:7"],
@@ -35,14 +39,14 @@ CASES = {
     "amplifier-markers-json": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"] + JSON,
         "539d3ef8139bb9e8535aaecb89ef316aa8f4aa53e98f162d1e9f764a8ad23672"),
-    # Rows 0 and 3-5 diverge (blank / null cells); the others do not.
+    # A marginal form: w1 w3 - Re(w2)^2 is exactly 0, so every cell diverges.
     "amplifier-divergent-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
-        "9e5f693eb98ae3f428c7df326a8c8eccfd8999a00cd0ea538cad24e0b4fbaceb"),
+        DIVERGED),
     "amplifier-divergent-json": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
-        "f5efe5d89d039ae227f3fc985fe105d3c42629c95cbeaeedfea39d3679d77290"),
+        DIVERGED),
     # A positive-definite form whose rows at T >= 3.34e7 diverge (blank / null
     # cells): there beta omega_eff is so small that the closed form's
     # denominator is rounding noise.
@@ -81,19 +85,29 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def check_output(name, capsys, out=None):
+    """Run case `name` to stdout or to the file `out` and check what it wrote."""
+    argv, digest = CASES[name]
+    code = cli.main(argv if out is None else argv + ["--output", str(out)])
+    stdout, stderr = capsys.readouterr()
+    if digest is DIVERGED:
+        assert code == 3 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert out is None or not out.exists()
+        return
+    assert code == 0
+    data = stdout.encode("ascii") if out is None else out.read_bytes()
+    assert sha256(data) == digest
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_stdout_bytes(name, capsys):
-    argv, digest = CASES[name]
-    assert cli.main(argv) == 0
-    assert sha256(capsys.readouterr().out.encode("ascii")) == digest
+    check_output(name, capsys)
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_output_file_bytes(name, tmp_path):
-    argv, digest = CASES[name]
-    out = tmp_path / "grid.out"
-    assert cli.main(argv + ["--output", str(out)]) == 0
-    assert sha256(out.read_bytes()) == digest
+def test_output_file_bytes(name, tmp_path, capsys):
+    check_output(name, capsys, tmp_path / "grid.out")
 
 
 @pytest.mark.parametrize("name", ["qubit-negative-t-csv", "amplifier-markers-json"])
@@ -116,7 +130,11 @@ def test_text_methods_match_cli_bytes(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_output", capture)
     out = tmp_path / "grid.out"
-    assert cli.main(argv + ["--output", str(out)]) == 0
+    code = cli.main(argv + ["--output", str(out)])
+    if CASES[name][1] is DIVERGED:
+        assert code == 3 and written == []
+        return
+    assert code == 0
     grid, = written
     text = grid.to_json_text() if "json" in argv else grid.to_csv_text()
     assert text.encode("ascii") == out.read_bytes()
@@ -127,12 +145,9 @@ def test_text_methods_match_cli_bytes(name, tmp_path, monkeypatch):
                                   "amplifier-partial-csv", "amplifier-partial-json",
                                   "qubit-many-rows-csv", "amplifier-many-rows-json",
                                   "qubit-1x1-csv", "amplifier-1x1-json"])
-def test_block_size_does_not_change_bytes(name, block_cells, tmp_path, monkeypatch):
-    argv, digest = CASES[name]
+def test_block_size_does_not_change_bytes(name, block_cells, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
-    out = tmp_path / "grid.out"
-    assert cli.main(argv + ["--output", str(out)]) == 0
-    assert sha256(out.read_bytes()) == digest
+    check_output(name, capsys, tmp_path / "grid.out")
 
 
 def test_many_rows_grid_ends_on_a_partial_block():
