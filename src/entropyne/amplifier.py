@@ -11,7 +11,7 @@ entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +32,12 @@ class AmplifierConfig:
     omega_t: float = 1.0  # thermal-light mode frequency
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0.0:
+        _require_finite(self)
+        if not self.omega0 > 0.0:
             raise ValueError("omega0 must be positive")
-        if self.omega_t <= 0.0:
+        if not self.omega_t > 0.0:
             raise ValueError("omega_t must be positive")
-        if self.k < 0.0:
+        if not self.k >= 0.0:
             raise ValueError("k must be >= 0")
 
 
@@ -46,10 +47,19 @@ class ThermalLight:
     omega_t: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nbar < 0.0:
+        _require_finite(self)
+        if not self.nbar >= 0.0:
             raise ValueError("nbar must be >= 0")
-        if self.omega_t <= 0.0:
+        if not self.omega_t > 0.0:
             raise ValueError("omega_t must be positive")
+
+
+def _require_finite(obj) -> None:
+    """Raise ValueError naming the first dataclass field of obj that is not finite."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 def amplifier_hamiltonian(cfg: AmplifierConfig) -> QuadraticHamiltonian:
@@ -107,7 +117,7 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         temps, nbars, h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3
     )
     if np.isnan(cells).all():
-        raise DivergentPartition("every cell diverged (hyperbolic domain fails)")
+        raise DivergentPartition("every cell diverged: no convergent partition function")
     return DeltaGrid(
         axis1_name="T",
         axis2_name="nbar",

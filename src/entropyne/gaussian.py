@@ -178,7 +178,7 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
 def _checked(h: QuadraticHamiltonian, beta: float) -> float:
     """The effective frequency of h, once beta > 0 and the form are accepted."""
     if not beta > 0.0:
-        raise NegativeBeta("the partition function requires beta > 0")
+        raise NegativeBeta(f"beta must be positive, got {beta}")
     weff = h.effective_frequency
     if math.isnan(weff):
         raise HyperbolicDomain(

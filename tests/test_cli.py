@@ -127,6 +127,25 @@ def test_domain_errors_exit_3():
                  "--beta", "-1"]) == 3
 
 
+AMPLIFIER_ARGS = ["amplifier-grid", "--temp", "1:2:2", "--nbar", "1:2:2"]
+
+
+@pytest.mark.parametrize("args,field", [
+    (["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "nan"], "beta"),
+    (AMPLIFIER_ARGS + ["--omega-t", "nan"], "omega_t"),
+    (AMPLIFIER_ARGS + ["--t", "inf"], "t"),
+    (AMPLIFIER_ARGS + ["--k", "nan"], "k"),
+    (AMPLIFIER_ARGS + ["--omega=-inf"], "omega"),
+    (AMPLIFIER_ARGS + ["--omega0", "nan"], "omega0"),
+])
+def test_non_finite_parameter_exits_3(args, field, capsys):
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {field} must be ")
+
+
 def test_verify_quick_passes(capsys):
     assert main(["verify", "--quick"]) == 0
     out = capsys.readouterr().out

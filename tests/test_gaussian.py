@@ -171,6 +171,8 @@ def test_partition_rejects_nonpositive_beta():
         log_partition_function(HARMONIC, -1.0)
     with pytest.raises(NegativeBeta):
         log_partition_function(HARMONIC, 0.0)
+    with pytest.raises(NegativeBeta):
+        log_partition_function(HARMONIC, math.nan)
 
 
 def test_partition_large_beta_stable():
@@ -223,6 +225,8 @@ def test_gaussian_delta_rejects_nonpositive_temperature():
         gaussian_delta(thermal_covariance(1.0), HARMONIC, 0.0)
     with pytest.raises(NegativeBeta):
         gaussian_delta(thermal_covariance(1.0), HARMONIC, -1.0)
+    with pytest.raises(NegativeBeta):
+        gaussian_delta(thermal_covariance(1.0), HARMONIC, math.nan)
 
 
 @pytest.mark.parametrize("seed", range(12))
