@@ -1,10 +1,11 @@
 """The closed-form log partition functions and the grid kernels built on them.
 
-Each function takes a float or a numpy array where it says so; the scalar
-library (`qubit`, `gaussian`) calls the same code at one point, so a grid
-cell and a scalar record agree on the value and on whether it diverges.
-Cells where the quadratic Hamiltonian has no convergent partition function
-are NaN.
+`qubit_log_z` and `gaussian_log_z` take a float or a numpy array of
+temperatures.  The scalar library (`qubit`, `gaussian`) calls them on a
+float and the grid kernels on an array, and `effective_frequency` decides
+for both whether a quadratic form converges, so a grid cell and a scalar
+record agree on the value and on whether it diverges.  Cells where the
+quadratic Hamiltonian has no convergent partition function are NaN.
 """
 
 from __future__ import annotations

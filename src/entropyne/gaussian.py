@@ -175,7 +175,7 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
     )
 
 
-def _checked(h: QuadraticHamiltonian, beta: float) -> float:
+def _convergent_frequency(h: QuadraticHamiltonian, beta: float) -> float:
     """The effective frequency of h, once beta > 0 and the form are accepted."""
     if not beta > 0.0:
         raise NegativeBeta(f"beta must be positive, got {beta}")
@@ -194,7 +194,7 @@ def _stable_pieces(h: QuadraticHamiltonian, beta: float):
     number-generator coefficient to the effective frequency weff,
     ln_den = ln(cosh phi + r sinh phi) and u = sinh phi / (cosh phi + r sinh phi).
     """
-    weff = _checked(h, beta)
+    weff = _convergent_frequency(h, beta)
     phi = beta * weff
     r = h.k0_coefficient / weff
     e2 = math.exp(-2.0 * phi)
@@ -228,7 +228,7 @@ def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
 
 def log_partition_function(h: QuadraticHamiltonian, beta: float) -> float:
     """ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} / (1 - 2 zeta^{1/2} + zeta(1-xi))^{1/2}]."""
-    weff = _checked(h, beta)
+    weff = _convergent_frequency(h, beta)
     log_z = float(_kernels.gaussian_log_z(beta, h.k0_coefficient, weff,
                                           h.omega2.imag))
     if math.isnan(log_z):

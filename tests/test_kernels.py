@@ -105,6 +105,8 @@ def test_amplifier_nan_mask_matches_raise_mask(kind):
 
 @pytest.mark.parametrize("name", NAMED_FORMS)
 def test_named_forms_match_scalar(name):
+    # WIDE_TEMPS, and the temperatures of the amplifier-divergent golden case.
+    check_cells_against_scalar(NAMED_FORMS[name], np.linspace(0.2, 10.0, 8))
     cells = check_cells_against_scalar(NAMED_FORMS[name], WIDE_TEMPS)
     divergent = np.isnan(cells).all(axis=1)
     if name == "amplifier-default":
