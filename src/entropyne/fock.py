@@ -6,7 +6,9 @@ independent route: truncated number-basis traces for partition functions,
 and deterministic quadrature of the position kernel for moments.  The
 traces in stable_partition use parity-split tridiagonal eigensolves of the
 exact ladder matrix elements; the explicit ladder-operator matrices and
-their dense eigendecompositions remain for the other checks.  The kernel
+their dense eigendecompositions remain for the other checks.  scipy.linalg
+is imported inside the functions that call it, so that importing the
+package (and running the grid CLI) loads numpy only.  The kernel
 convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
@@ -76,6 +77,8 @@ def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
     Returns (value, last_level_contribution); the second entry is the
     truncation-error estimate.
     """
+    import scipy.linalg
+
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     w = np.sort(scipy.linalg.eigvalsh(hm))
@@ -99,6 +102,8 @@ def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     off-diagonals |c| sqrt((n+1)(n+2)), and each block is solved by a
     real symmetric tridiagonal eigensolve.
     """
+    import scipy.linalg
+
     w = np.sqrt(h.omega3 / h.omega1)
     n = np.arange(n_max, dtype=float)
     diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
@@ -158,6 +163,8 @@ def stable_partition(h: QuadraticHamiltonian, beta: float, n_start: int = 200,
 
 def exponential_diagonal(hm: np.ndarray, beta: float) -> np.ndarray:
     """Diagonal of e^{-beta H} via dense eigendecomposition."""
+    import scipy.linalg
+
     w, v = scipy.linalg.eigh(hm)
     return np.einsum("nk,k,nk->n", v, np.exp(-beta * w), v.conj()).real
 

@@ -3,6 +3,8 @@
 Matrices are plain complex numpy arrays.  All spectral machinery (matrix
 functions, thermal states) is eigendecomposition-backed; this module is the
 computational substrate for the entropy routines and the Fock-space oracle.
+scipy.linalg is imported on first use, inside eigendecompose, so that the
+closed forms and the grid CLI, which import this module, load numpy only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, NumericalFailure, DomainError, ZeroTemperature
 
@@ -45,10 +46,12 @@ class SpectralDecomposition:
 
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
+    import scipy.linalg
+
     m = check_hermitian(m)
     try:
         w, v = scipy.linalg.eigh(m)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+    except scipy.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 

@@ -75,6 +75,37 @@ def test_gaussian_z_output(capsys):
     assert float(rel.split("=")[1]) <= 1e-8
 
 
+# Runs CLI argv lists (given as JSON in argv[1]) after `import entropyne` and
+# prints, as a JSON list, whether scipy was in sys.modules after the import
+# and after each command.
+SCIPY_PROBE = """
+import json, sys
+import entropyne
+from entropyne.cli import main
+seen = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    seen.append("scipy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_grid_subcommands_do_not_load_scipy(tmp_path):
+    # The closed forms need numpy only; scipy loads on first use by the
+    # Fock oracle.  The oracle run last is the positive control: the probe
+    # sees scipy once something imports it.
+    gaussian_z = ["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "1"]
+    steps = [QUBIT_ARGS + ["--output", str(tmp_path / "qubit.csv")],
+             ["amplifier-grid", "--temp", "0.5:5:6", "--nbar", "0.5:4:5",
+              "--format", "json", "--output", str(tmp_path / "amp.json")],
+             gaussian_z,
+             gaussian_z + ["--oracle", "300"]]
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(res.stdout.splitlines()[-1]) == [False, False, False, False, True]
+
+
 def test_tsallis_q_value(tmp_path, capsys):
     rho = tmp_path / "rho.txt"
     sigma = tmp_path / "sigma.txt"

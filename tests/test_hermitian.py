@@ -7,6 +7,7 @@ import pytest
 
 from entropyne import (
     NotHermitian,
+    NumericalFailure,
     ZeroTemperature,
     check_hermitian,
     eigendecompose,
@@ -29,6 +30,17 @@ def test_check_hermitian_rejects_asymmetry():
 def test_eigendecompose_identity():
     dec = eigendecompose(np.eye(2, dtype=complex))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0])
+
+
+def test_eigensolver_failure_raises_numerical_failure(monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailure, match="eigensolver failed"):
+        eigendecompose(PAULI_X)
 
 
 def test_eigendecompose_diagonal():
