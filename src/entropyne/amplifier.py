@@ -74,6 +74,22 @@ def amplifier_hamiltonian(cfg: AmplifierConfig) -> QuadraticHamiltonian:
     )
 
 
+def _require_convergent(cfg: AmplifierConfig) -> None:
+    """Raise DivergentPartition unless 2k < omega0.
+
+    At every frozen time omega_eff^2 = omega0^2 - 4k^2, so no partition
+    function converges once 2k >= omega0.  The form rule alone misses the
+    marginal case 2k = omega0: amplifier_hamiltonian rounds omega1, omega3
+    and Re omega2 from cos/sin, which can leave omega1 omega3 - (Re omega2)^2
+    a few ulps above 0.  This comparison is exact.
+    """
+    if 2.0 * cfg.k >= cfg.omega0:
+        raise DivergentPartition(
+            f"k = {cfg.k} >= omega0/2 = {cfg.omega0 / 2.0}: "
+            "no convergent partition function"
+        )
+
+
 def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState:
     """sigma = ((1+2 nbar)/2) diag(w0, 1/w0) with zero means."""
     if omega0 <= 0.0:
@@ -112,6 +128,7 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         raise DomainError("temperature range must be strictly positive")
     if nbars.min() < 0.0:
         raise DomainError("nbar range must be nonnegative")
+    _require_convergent(cfg)
     h = amplifier_hamiltonian(cfg)
     cells = _kernels.amplifier_delta_cells(
         temps, nbars, h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3
@@ -156,6 +173,7 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         raise BracketError(f"invalid bracket {bracket}")
     if nbar <= 0.0:
         raise DomainError("nbar must be positive")
+    _require_convergent(cfg)
     state = thermal_light_covariance(ThermalLight(nbar, cfg.omega_t), cfg.omega0)
     h = amplifier_hamiltonian(cfg)
 

@@ -133,6 +133,16 @@ def test_surface_all_divergent():
                                 GridSpec(0.5, 5.0, 5))
 
 
+# k > omega0/2 is hyperbolic; k = omega0/2 is marginal (omega_eff = 0), and at
+# t = 1 its rounded coefficients pass the form rule by about 20 ulps.  The
+# golden amplifier-marginal-* cases check the surface at t = 1.
+@pytest.mark.parametrize("cfg", [AmplifierConfig(k=0.6), AmplifierConfig(k=0.5, t=0.3),
+                                 AmplifierConfig(k=0.5, t=1.0)])
+def test_argmin_rejects_divergent_amplifier(cfg):
+    with pytest.raises(DivergentPartition):
+        delta_argmin_temperature(cfg, 1.0, (0.1, 10.0))
+
+
 def test_argmin_k0_exact():
     t_star = delta_argmin_temperature(AmplifierConfig(k=0.0), 2.0, (0.1, 20.0))
     assert abs(t_star - 1.0 / math.log(1.5)) < 1e-4

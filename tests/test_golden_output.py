@@ -47,6 +47,15 @@ CASES = {
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
         DIVERGED),
+    # Also marginal (k = omega0/2), but at t = 1 the rounded coefficients put
+    # w1 w3 - Re(w2)^2 about 20 ulps above 0.
+    "amplifier-marginal-csv": (
+        AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
+        DIVERGED),
+    "amplifier-marginal-json": (
+        AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
+        + JSON,
+        DIVERGED),
     # A positive-definite form whose rows at T >= 3.34e7 diverge (blank / null
     # cells): there beta omega_eff is so small that the closed form's
     # denominator is rounding noise.
