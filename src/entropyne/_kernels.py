@@ -45,10 +45,12 @@ def qubit_log_z(h0, h_norm, t):
 def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
                       thetas: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|."""
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    t = np.ascontiguousarray(temps, dtype=np.float64)[None, :]
-    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
-    return energy - t * _qubit_entropy(p_norm) + t * qubit_log_z(h0, h_norm, t)
+    t = np.ascontiguousarray(temps, dtype=np.float64)
+    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
+    # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+    out = np.subtract.outer(energy, t * _qubit_entropy(p_norm))
+    out += t * qubit_log_z(h0, h_norm, t)
+    return out
 
 
 def effective_frequency(omega0: float, omega1: float, omega2_re: float,
@@ -112,14 +114,17 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, omega0: float,
     Rows are T, columns nbar; NaN marks cells without a convergent
     partition function.
     """
-    temps = np.ascontiguousarray(temps, dtype=np.float64)
-    nb = np.ascontiguousarray(nbars, dtype=np.float64)[None, :]
+    t = np.ascontiguousarray(temps, dtype=np.float64)
+    nb = np.ascontiguousarray(nbars, dtype=np.float64)
     k0 = omega0 * omega1 + omega3 / omega0
     weff = effective_frequency(omega0, omega1, omega2_re, omega3)
-    lnz = gaussian_log_z(1.0 / temps, k0, weff, omega2_im)[:, None]
+    lnz = gaussian_log_z(1.0 / t, k0, weff, omega2_im)
     energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
-    t = temps[:, None]
-    return energy - t * s + t * lnz
+    # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+    out = np.multiply.outer(t, s)
+    np.subtract(energy, out, out=out)
+    out += (t * lnz)[:, None]
+    return out

@@ -152,3 +152,48 @@ def test_log_z_matches_normal_mode_form():
             exact = -beta * h.omega2.imag - (0.5 * x + math.log(-math.expm1(-x)))
             worst = max(worst, abs(log_partition_function(h, beta) - exact))
     assert worst <= LOG_Z_ATOL
+
+
+def broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps):
+    """The kernel as one broadcast expression: E - T S + T ln Z."""
+    t = temps[None, :]
+    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
+    return energy - t * _kernels._qubit_entropy(p_norm) + t * _kernels.qubit_log_z(h0, h_norm, t)
+
+
+def broadcast_amplifier_cells(temps, nbars, h):
+    nb = nbars[None, :]
+    k0 = h.omega0 * h.omega1 + h.omega3 / h.omega0
+    weff = _kernels.effective_frequency(h.omega0, h.omega1, h.omega2.real, h.omega3)
+    lnz = _kernels.gaussian_log_z(1.0 / temps, k0, weff, h.omega2.imag)[:, None]
+    energy = k0 * (1.0 + 2.0 * nb) / 2.0 + h.omega2.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
+            np.where(nb > 0.0, nb, 1.0)), 0.0)
+    t = temps[:, None]
+    return energy - t * s + t * lnz
+
+
+def test_kernels_bit_identical_to_broadcast_expression():
+    # The kernels fill one buffer in place; every cell must be the same
+    # float as the broadcast expression gives, NaN cells included.
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 17])
+        thetas = np.sort(rng.uniform(0.0, math.pi, 60))
+        temps = rng.uniform(0.01, 20.0, 70) * rng.choice([-1.0, 1.0], 70)
+        p_norm, h0, h_norm = rng.uniform(0.0, 1.0), rng.normal(), rng.uniform(0.1, 5.0)
+        assert np.array_equal(_kernels.qubit_delta_cells(p_norm, h0, h_norm, thetas, temps),
+                              broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps))
+        nbars = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 40)])
+        amp_temps = np.sort(rng.uniform(0.05, 10.0, 50))
+        for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"]):
+            for t in (amp_temps, WIDE_TEMPS):
+                cells = _kernels.amplifier_delta_cells(t, nbars, h.omega0, h.omega1,
+                                                       h.omega2.real, h.omega2.imag, h.omega3)
+                assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
+                                      equal_nan=True)
+    # WIDE_TEMPS blanks the default amplifier's hottest rows, so NaN rows are covered.
+    h = NAMED_FORMS["amplifier-default"]
+    cells = _kernels.amplifier_delta_cells(WIDE_TEMPS, NBARS, h.omega0, h.omega1,
+                                           h.omega2.real, h.omega2.imag, h.omega3)
+    assert np.isnan(cells).all(axis=1).any()
