@@ -5,7 +5,8 @@ is frozen at a caller-supplied time t and mapped to quadratic-form
 coefficients; the probe state is thermal light of mean photon number nbar.
 The (T, nbar) surface of the distance parameter has its per-nbar minimum at
 the temperature where the thermal state of the amplifier matches the probe
-entropy.
+entropy.  The surface and the minimizer both evaluate the distance with the
+grid kernel `_kernels.amplifier_delta_cells`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import BracketError, DivergentPartition, DomainError
-from .gaussian import CovarianceState, QuadraticHamiltonian, gaussian_delta
+from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Where delta_argmin_temperature samples its bracket, as fractions of it;
+# each round keeps two of the 256 steps, so the bracket shrinks 128x.
+_ARGMIN_FRACTIONS = np.linspace(0.0, 1.0, 257)
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,6 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
     cells = _kernels.amplifier_delta_cells(
         temps, nbars, h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3
     )
-    if np.isnan(cells).all():
-        raise DivergentPartition("every cell diverged: no convergent partition function")
     return DeltaGrid(
         axis1_name="T",
         axis2_name="nbar",
@@ -154,10 +155,13 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     np.fmin skips NaN and the comparison finds the first row that holds the
     minimum.  A column-wise np.nanargmin would copy the whole array (twice,
     once to replace NaN), and would mark a NaN cell in a column whose
-    minimum is +inf with a NaN above it.
+    minimum is +inf with a NaN above it.  Raises DivergentPartition when
+    every column is all NaN, i.e. every cell diverged.
     """
     column_min = np.fmin.reduce(cells, axis=0)
     ok = ~np.isnan(column_min)
+    if not ok.any():
+        raise DivergentPartition("every cell diverged: no convergent partition function")
     rows = np.argmax(cells == column_min, axis=0)
     markers = np.zeros(cells.shape, dtype=int)
     markers[rows[ok], np.flatnonzero(ok)] = 1
@@ -167,33 +171,36 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
 def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
                              bracket: tuple[float, float],
                              rel_tol: float = 1e-6) -> float:
-    """Golden-section minimizer of T -> distance(T, nbar) on the bracket."""
+    """Minimizer of T -> distance(T, nbar) on the bracket by sampling rounds.
+
+    Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), so each round
+    samples the bracket in one kernel call and keeps the two neighbours of
+    the smallest sample, until b - a <= rel_tol max(a, 1e-12) or the bracket
+    stops shrinking.
+    """
     lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise BracketError(f"invalid bracket {bracket}")
+    if not 0.0 < lo < hi < math.inf:  # also false for NaN
+        raise BracketError(f"invalid bracket {bracket}: need finite 0 < lo < hi")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar <= 0.0:
         raise DomainError("nbar must be positive")
     _require_convergent(cfg)
-    state = thermal_light_covariance(ThermalLight(nbar, cfg.omega_t), cfg.omega0)
     h = amplifier_hamiltonian(cfg)
-
-    def delta(temperature: float) -> float:
-        return gaussian_delta(state, h, temperature).delta
-
+    form = (h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3)
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = delta(c)
-    fd = delta(d)
-    while (b - a) > rel_tol * max(a, 1e-12):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = delta(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = delta(d)
+    while b - a > rel_tol * max(a, 1e-12):
+        temps = a + (b - a) * _ARGMIN_FRACTIONS
+        delta = _kernels.amplifier_delta_cells(temps, np.array([nbar]), *form)[:, 0]
+        i = int(np.argmin(delta))  # the first NaN if there is one
+        if math.isnan(delta[i]):
+            raise DivergentPartition(f"the closed form diverges on T in [{a}, {b}]")
+        a_next, b_next = temps[max(i - 1, 0)], temps[min(i + 1, len(temps) - 1)]
+        if b_next - a_next >= b - a:  # a and b are adjacent floats
+            break
+        a, b = float(a_next), float(b_next)
     t_star = 0.5 * (a + b)
     edge = rel_tol * max(t_star, 1.0) * 4.0
     if t_star - lo < edge or hi - t_star < edge:

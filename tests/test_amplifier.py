@@ -26,6 +26,7 @@ from entropyne import (
     thermal_light_covariance,
     thermal_light_fock,
 )
+from entropyne import _kernels
 from entropyne.amplifier import _argmin_markers
 
 CFG = AmplifierConfig()  # omega0=omega_t=1, omega=3, k=0.1, t=0
@@ -163,6 +164,61 @@ def test_argmin_matches_entropy_matching_temperature(nbar):
 def test_argmin_monotone_bracket_rejected():
     with pytest.raises(BracketError):
         delta_argmin_temperature(CFG, 1.0, (50.0, 100.0))
+
+
+@pytest.mark.parametrize("nbar", [0.7, 1.0, 2.5, 4.0])
+def test_argmin_within_one_step_of_surface_marker(nbar):
+    t_grid = GridSpec(0.2, 8.0, 2001)
+    t_step = (t_grid.stop - t_grid.start) / (t_grid.count - 1)
+    surface = amplifier_delta_surface(CFG, t_grid, GridSpec(nbar, nbar, 1))
+    marker_t = surface.axis1_values[np.argmax(surface.markers[:, 0])]
+    assert abs(delta_argmin_temperature(CFG, nbar, (0.1, 10.0)) - marker_t) <= t_step
+
+
+def test_argmin_divergent_sample_raises():
+    # The su(1,1) ln Z blanks T >= 3.34e7 at k = 0.1 (ROADMAP items 4 and 7).
+    with pytest.raises(DivergentPartition):
+        delta_argmin_temperature(CFG, 1.0, (1.0, 1e8))
+
+
+def test_argmin_rejects_nan_nbar():
+    with pytest.raises(ValueError):
+        delta_argmin_temperature(CFG, math.nan, (0.1, 10.0))
+
+
+def test_argmin_kernel_calls(monkeypatch):
+    calls = []
+    kernel = _kernels.amplifier_delta_cells
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "amplifier_delta_cells", counting)
+    for nbar in (0.5, 1.0, 3.0, 5.0):
+        calls.clear()
+        delta_argmin_temperature(CFG, nbar, (0.05, 100.0))
+        assert 1 <= len(calls) <= 6, (nbar, calls)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_argmin_rejects_bad_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        delta_argmin_temperature(CFG, 1.0, (0.1, 10.0), rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("bracket", [(0.1, math.inf), (math.nan, 10.0), (0.1, math.nan),
+                                     (-math.inf, 10.0), (0.0, 10.0), (10.0, 0.1)])
+def test_argmin_rejects_bad_bracket(bracket):
+    with pytest.raises(BracketError):
+        delta_argmin_temperature(CFG, 1.0, bracket)
+
+
+def test_argmin_ends_when_bracket_stops_shrinking():
+    # rel_tol far below one ulp: the loop stops at adjacent floats.
+    t_star = delta_argmin_temperature(CFG, 1.0, (0.1, 10.0), rel_tol=1e-300)
+    expected = amplifier_hamiltonian(CFG).effective_frequency / math.log(2.0)
+    assert abs(t_star - expected) <= 1e-6 * expected
 
 
 @pytest.mark.parametrize("nbar,temp", [(0.5, 0.7), (2.0, 2.0), (5.0, 4.0),
