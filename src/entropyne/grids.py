@@ -63,6 +63,7 @@ _FLOAT_FORMAT = ".17g"
 # A block's text is about a megabyte whatever the grid size, so peak memory
 # stays flat, and the per-block overhead is negligible.
 _BLOCK_CELLS = 1 << 13
+_JSON_SEP = ",\n    "  # between the items of an array under a top-level key
 
 
 def fmt(x: float) -> str:
@@ -96,8 +97,9 @@ class DeltaGrid:
         step = max(1, _BLOCK_CELLS // n_cols)
         return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
-    def _marker_texts(self, lo: int, hi: int) -> list[str]:
-        return list(map(str, self.markers[lo:hi].astype(int).ravel().tolist()))
+    def _marker_text(self, lo: int, hi: int) -> str:
+        """Markers of rows lo:hi as one `0, 1, 0` string, from one str() call."""
+        return str(self.markers[lo:hi].astype(int).ravel().tolist())[1:-1]
 
     def write_csv(self, out: TextIO, value_name: str = "delta") -> None:
         """Write the grid as CSV to `out`, a block of rows at a time.
@@ -117,7 +119,7 @@ class DeltaGrid:
             fields = [chain.from_iterable(repeat(r, n_cols) for r in rows), cycle(cols),
                       _csv_cells(self.cells[lo:hi].ravel())]
             if self.markers is not None:
-                fields += [repeat(","), self._marker_texts(lo, hi)]
+                fields += [repeat(","), self._marker_text(lo, hi).split(", ")]
             out.write("\n".join(map("".join, zip(*fields))) + "\n")
 
     def write_json(self, out: TextIO) -> None:
@@ -142,7 +144,8 @@ class DeltaGrid:
         }
         if self.markers is not None:
             fields["marker_name"] = [json.dumps(self.marker_name)]
-            fields["markers"] = _json_array(self._marker_texts(lo, hi) for lo, hi in blocks)
+            fields["markers"] = _json_array(self._marker_text(lo, hi).replace(", ", _JSON_SEP)
+                                            for lo, hi in blocks)
         sep = "{\n"
         for key in sorted(fields):
             out.write(f'{sep}  "{key}": ')
@@ -172,23 +175,23 @@ def _csv_cells(cells: np.ndarray) -> list[str]:
     return texts
 
 
-def _json_floats(values: np.ndarray, nan: str) -> list[str]:
-    """JSON text of each float of the 1-D array `values`, as `json` writes
-    it, except that a NaN becomes the text given as `nan`."""
+def _json_floats(values: np.ndarray, nan: str) -> str:
+    """JSON text of the 1-D array `values`' items joined by _JSON_SEP, as
+    `json` writes them, except that a NaN becomes the text given as `nan`."""
     texts = list(map(float.__repr__, values.tolist()))
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         v = values[k]
         texts[k] = nan if np.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
-    return texts
+    return _JSON_SEP.join(texts)
 
 
-def _json_array(blocks: Iterable[list[str]]) -> Iterator[str]:
+def _json_array(blocks: Iterable[str]) -> Iterator[str]:
     """Text chunks of a JSON array, indented as a value of a top-level key,
-    from blocks of already encoded items."""
+    from blocks of encoded items already joined by _JSON_SEP ('' for none)."""
     empty = True
     for items in blocks:
         if items:
-            yield ("[\n    " if empty else ",\n    ") + ",\n    ".join(items)
+            yield ("[\n    " if empty else _JSON_SEP) + items
             empty = False
     yield "[]" if empty else "\n  ]"
 
