@@ -45,6 +45,7 @@ def qubit_log_z(h0, h_norm, t):
 def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
                       thetas: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|."""
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     t = np.ascontiguousarray(temps, dtype=np.float64)
     energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
     # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
