@@ -6,9 +6,10 @@ held as NaN internally and serialized as an empty CSV field / JSON null,
 never as NaN text.
 
 `DeltaGrid.write_csv` / `write_json` stream a grid to a text handle a block
-of rows at a time, so peak memory does not grow with the grid.  Each axis
-value is formatted once and each cell once, in one pass over the block
-(`%.17g` for CSV, `float.__repr__` for JSON).  The JSON bytes are those of
+of rows at a time, so peak memory does not grow with the grid.  A CSV block
+is one `%` format of a row template (`%.17g` per cell, `%d` per marker),
+whose NaN cells are then blanked by a replace that matches only the cell
+field; JSON formats each cell with `float.__repr__`.  Its bytes are those of
 `json.dumps(..., sort_keys=True, indent=2)`, whose pure-Python encoder
 (the one `indent` selects) is not used for the arrays.  `to_csv_text` /
 `to_json_text` return the same bytes as a string.
@@ -20,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -88,6 +88,8 @@ class DeltaGrid:
         expected = (len(self.axis1_values), len(self.axis2_values))
         if self.cells.shape != expected:
             raise ValueError(f"cells shape {self.cells.shape} != {expected}")
+        if self.markers is not None and self.markers.shape != expected:
+            raise ValueError(f"markers shape {self.markers.shape} != {expected}")
 
     def _row_blocks(self) -> list[tuple[int, int]]:
         """(lo, hi) row ranges of about _BLOCK_CELLS cells each."""
@@ -112,15 +114,26 @@ class DeltaGrid:
         if self.marker_name is not None:
             header += f",{self.marker_name}"
         out.write("\n".join(lines + [header]) + "\n")
-        n_cols = len(self.axis2_values)
-        cols = [fmt(b) + "," for b in self.axis2_values.tolist()]
+        marked = self.markers is not None
+        tail = ",%d\n" if marked else "\n"  # what follows a cell to the line end
+        # "\0" stands for a row's axis-1 text: no formatted float holds it or "%".
+        row = "".join(f"\0,{fmt(b)},%{_FLOAT_FORMAT}{tail}" for b in self.axis2_values.tolist())
         for lo, hi in self._row_blocks():
-            rows = [fmt(a) + "," for a in self.axis1_values[lo:hi].tolist()]
-            fields = [chain.from_iterable(repeat(r, n_cols) for r in rows), cycle(cols),
-                      _csv_cells(self.cells[lo:hi].ravel())]
-            if self.markers is not None:
-                fields += [repeat(","), self._marker_text(lo, hi).split(", ")]
-            out.write("\n".join(map("".join, zip(*fields))) + "\n")
+            cells = self.cells[lo:hi].ravel()
+            if marked:  # cells and markers interleaved
+                markers = self.markers[lo:hi].ravel()
+                values = [None] * (2 * cells.size)
+                values[::2], values[1::2] = cells.tolist(), markers.tolist()
+            else:
+                values = cells.tolist()
+            text = "".join([row.replace("\0", fmt(a))
+                            for a in self.axis1_values[lo:hi].tolist()]) % tuple(values)
+            nan = np.isnan(cells)
+            if nan.any():  # blank the NaN cells: only a cell field is followed by a tail
+                ends = [tail % m for m in np.unique(markers[nan]).tolist()] if marked else [tail]
+                for end in ends:
+                    text = text.replace(",nan" + end, "," + end)
+            out.write(text)
 
     def write_json(self, out: TextIO) -> None:
         """Write the grid as JSON to `out`, a block of rows at a time.
@@ -165,14 +178,6 @@ class DeltaGrid:
         buf = io.StringIO()
         self.write_json(buf)
         return buf.getvalue()
-
-
-def _csv_cells(cells: np.ndarray) -> list[str]:
-    """CSV text of each cell of the 1-D array `cells`; NaN is blank."""
-    texts = list(map(format, cells.tolist(), repeat(_FLOAT_FORMAT)))
-    for k in np.flatnonzero(np.isnan(cells)).tolist():
-        texts[k] = ""
-    return texts
 
 
 def _json_floats(values: np.ndarray, nan: str) -> str:

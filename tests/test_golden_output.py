@@ -189,3 +189,58 @@ def test_synthetic_grid_text():
         "6f70806404149b5be4cdd0e5f7b7892ea44840fc7327bf7efbd82f25acdfa124"
     assert sha256(grid.to_json_text().encode("ascii")) == \
         "8227e231fa86861322ee287e136b7e1174638ac35910cb4cb900f9d5c80038e6"
+
+
+def per_cell_csv(grid, value_name="delta"):
+    """The CSV text of `grid` built one field at a time: each float by
+    format(x, ".17g"), a NaN cell as an empty field, each marker by str(int)."""
+    lines = [f"# {key}={grid.metadata[key]}" for key in sorted(grid.metadata)]
+    names = [grid.axis1_name, grid.axis2_name, value_name]
+    if grid.marker_name is not None:
+        names.append(grid.marker_name)
+    lines.append(",".join(names))
+    for i, a in enumerate(grid.axis1_values.tolist()):
+        for j, b in enumerate(grid.axis2_values.tolist()):
+            cell = grid.cells[i, j]
+            fields = [format(a, ".17g"), format(b, ".17g"),
+                      "" if np.isnan(cell) else format(cell, ".17g")]
+            if grid.markers is not None:
+                fields.append(str(int(grid.markers[i, j])))
+            lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324]
+
+
+def seeded_grid(seed, shape, marked, nan_axis=False):
+    """A grid of random cells, a quarter of them drawn from SPECIAL_CELLS."""
+    rng = np.random.default_rng(seed)
+    axis1, axis2 = rng.normal(size=shape[0]), rng.normal(size=shape[1]) * 1e5
+    cells = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = rng.random(shape) < 0.25
+    cells[special] = rng.choice(SPECIAL_CELLS, special.sum())
+    if nan_axis:  # a NaN axis value prints as "nan", also beside a blank cell
+        axis1[-1:], axis2[:1] = np.nan, np.nan
+        cells[-1:, ::2], cells[::2, :1] = np.nan, np.nan
+    return DeltaGrid("T", "nbar", axis1, axis2, cells, metadata={"seed": seed},
+                     marker_name="argmin" if marked else None,
+                     markers=rng.integers(-1, 3, shape) if marked else None)
+
+
+@pytest.mark.parametrize("block_cells", [1, 13, 50, grids._BLOCK_CELLS])
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("shape", [(7, 5), (1, 1), (3, 40), (60, 2), (0, 3), (2, 0)])
+def test_block_template_matches_per_cell_csv(shape, marked, block_cells, monkeypatch):
+    monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
+    for seed, nan_axis in [(1, False), (2, False), (3, True)]:
+        grid = seeded_grid(seed, shape, marked, nan_axis)
+        assert grid.to_csv_text() == per_cell_csv(grid)
+    grid = synthetic_grid()
+    assert grid.to_csv_text("value") == per_cell_csv(grid, "value")
+
+
+def test_markers_of_the_wrong_shape_are_rejected():
+    with pytest.raises(ValueError, match="markers shape"):
+        DeltaGrid("T", "nbar", np.ones(3), np.arange(2.0), np.ones((3, 2)),
+                  marker_name="argmin", markers=np.array([[1, 0]]))
