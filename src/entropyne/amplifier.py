@@ -152,19 +152,19 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     """1 at the row of each column's smallest non-NaN cell (the first on a
     tie), 0 elsewhere; a column whose cells are all NaN has no marker.
 
-    np.fmin skips NaN and the comparison finds the first row that holds the
-    minimum.  A column-wise np.nanargmin would copy the whole array (twice,
-    once to replace NaN), and would mark a NaN cell in a column whose
-    minimum is +inf with a NaN above it.  Raises DivergentPartition when
-    every column is all NaN, i.e. every cell diverged.
+    np.fmin skips NaN, and np.unique keeps each column's first hit of its
+    minimum in row-major order, i.e. its lowest row.  A column-wise
+    np.nanargmin would copy the whole array (twice, once to replace NaN), and
+    would mark a NaN cell in a column whose minimum is +inf with a NaN above
+    it.  Raises DivergentPartition when every column is all NaN.
     """
     column_min = np.fmin.reduce(cells, axis=0)
-    ok = ~np.isnan(column_min)
-    if not ok.any():
+    if np.isnan(column_min).all():
         raise DivergentPartition("every cell diverged: no convergent partition function")
-    rows = np.argmax(cells == column_min, axis=0)
+    rows, cols = np.divmod(np.flatnonzero(cells == column_min), cells.shape[1])
+    cols, first = np.unique(cols, return_index=True)
     markers = np.zeros(cells.shape, dtype=int)
-    markers[rows[ok], np.flatnonzero(ok)] = 1
+    markers[rows[first], cols] = 1
     return markers
 
 
