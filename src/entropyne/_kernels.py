@@ -6,6 +6,8 @@ float and the grid kernels on an array, and `effective_frequency` decides
 for both whether a quadratic form converges, so a grid cell and a scalar
 record agree on the value and on whether it diverges.  Cells where the
 quadratic Hamiltonian has no convergent partition function are NaN.
+`su11_pieces` is the one su(1,1) disentangling: the Gaussian ln Z, the
+su(1,1) coefficients and the Fock diagonal elements all read it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ _DENOM_EPS = 1e-14
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
 # noise around 0 diverges instead of giving a noise-sized frequency.
 _FORM_RTOL = 4.0 * np.finfo(np.float64).eps
-# xi below caps phi here.  r^2 - 1 is 0 or at least ~1e-16 in size, and
+# xi in su11_pieces caps phi here.  r^2 - 1 is 0 or at least ~1e-16 in size, and
 # sinh(40)^2 > 1e34, so capping changes no `xi < 1` decision, and it keeps
 # sinh^2 and its product with r^2 - 1 finite.
 _PHI_CAP = 40.0
 
 
 def _qubit_entropy(p_norm: float) -> float:
-    """von Neumann entropy of a qubit of Bloch norm p_norm (nats)."""
+    """von Neumann entropy of a qubit of Bloch norm p_norm (nats), |p| clamped to 1."""
+    p_norm = min(p_norm, 1.0)
     s = math.log(2.0)
     if p_norm > 0.0:
         s -= 0.5 * (1.0 + p_norm) * math.log(1.0 + p_norm)
@@ -73,15 +76,14 @@ def effective_frequency(omega0: float, omega1: float, omega2_re: float,
     return math.sqrt(weff2) if weff2 > 0.0 else math.nan
 
 
-def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
-    """ln Z of a quadratic Hamiltonian at inverse temperature beta > 0.
+def su11_pieces(beta, k0: float, weff: float):
+    """The su(1,1) disentangling of e^{-beta H} for beta a float or an array.
 
-    beta is a float or an array; k0 = w0 w1 + w3/w0 and weff comes from
-    `effective_frequency` (NaN there gives NaN here).  The su(1,1) closed
-    form is ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} / (1 - 2 zeta^{1/2} +
-    zeta (1 - xi))^{1/2}].  NaN marks a beta where it fails a check: the
-    denominator is not above _DENOM_EPS, or the diagonal-element sum's
-    Legendre growth ratio reaches 1.
+    k0 = w0 w1 + w3/w0 and weff comes from `effective_frequency`.  With
+    phi = beta weff and r = k0/weff, returns (phi, ln sqrt(zeta), u, zeta xi,
+    xi): sqrt(zeta) = 1/(cosh phi + r sinh phi), u = sinh phi sqrt(zeta),
+    zeta xi = (r^2 - 1) u^2 and xi = (r^2 - 1) sinh^2 phi, which follows phi
+    only up to _PHI_CAP and keeps its value at the cap past it.
     """
     phi = beta * weff
     r = k0 / weff
@@ -89,15 +91,28 @@ def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
     # A positive-definite form has r >= 1, so den_s > 0.
     den_s = (1.0 + r) + (1.0 - r) * e2
     ln_sqrt_zeta = -(phi + np.log(0.5 * den_s))
-    sz = np.exp(ln_sqrt_zeta)
     u = (1.0 - e2) / den_s
     zeta_xi = (r * r - 1.0) * u * u
+    xi = (r * r - 1.0) * np.sinh(np.minimum(phi, _PHI_CAP)) ** 2
+    return phi, ln_sqrt_zeta, u, zeta_xi, xi
+
+
+def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
+    """ln Z of a quadratic Hamiltonian at inverse temperature beta > 0.
+
+    beta, k0 and weff are those of `su11_pieces` (NaN weff gives NaN here).
+    The su(1,1) closed form is ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} /
+    (1 - 2 zeta^{1/2} + zeta (1 - xi))^{1/2}].  NaN marks a beta where it
+    fails a check: the denominator is not above _DENOM_EPS, or the
+    diagonal-element sum's Legendre growth ratio reaches 1.
+    """
+    _, ln_sqrt_zeta, _, zeta_xi, xi = su11_pieces(beta, k0, weff)
+    sz = np.exp(ln_sqrt_zeta)
     denom = 1.0 - 2.0 * sz + sz * sz - zeta_xi
     # Growth bound of the diagonal-element sum (Legendre asymptotics); it
     # applies where xi < 1.  Adding a mask (0 or 1) to |x| keeps each sqrt
     # and log argument positive where its result is not used, at a fraction
     # of np.where's cost on a float beta.
-    xi = (r * r - 1.0) * np.sinh(np.minimum(phi, _PHI_CAP)) ** 2
     legendre = xi < 1.0
     z = 1.0 / np.sqrt(np.abs(1.0 - xi) + ~legendre)
     growth = np.sqrt(np.maximum(sz * sz - zeta_xi, 0.0)) \
@@ -107,18 +122,15 @@ def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
     return np.where(bad, np.nan, lnz)
 
 
-def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, omega0: float,
-                          omega1: float, omega2_re: float, omega2_im: float,
-                          omega3: float) -> np.ndarray:
+def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
+                          weff: float, omega2_im: float) -> np.ndarray:
     """Distance parameter of the thermal state over a (T, nbar) grid.
 
-    Rows are T, columns nbar; NaN marks cells without a convergent
-    partition function.
+    k0, weff and omega2_im are those of `gaussian_log_z`.  Rows are T,
+    columns nbar; NaN marks cells without a convergent partition function.
     """
     t = np.ascontiguousarray(temps, dtype=np.float64)
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
-    k0 = omega0 * omega1 + omega3 / omega0
-    weff = effective_frequency(omega0, omega1, omega2_re, omega3)
     lnz = gaussian_log_z(1.0 / t, k0, weff, omega2_im)
     energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
     with np.errstate(divide="ignore", invalid="ignore"):

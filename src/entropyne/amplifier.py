@@ -133,9 +133,8 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         raise DomainError("nbar range must be nonnegative")
     _require_convergent(cfg)
     h = amplifier_hamiltonian(cfg)
-    cells = _kernels.amplifier_delta_cells(
-        temps, nbars, h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3
-    )
+    cells = _kernels.amplifier_delta_cells(temps, nbars, h.k0_coefficient,
+                                           h.effective_frequency, h.omega2.imag)
     return DeltaGrid(
         axis1_name="T",
         axis2_name="nbar",
@@ -189,7 +188,7 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         raise DomainError("nbar must be positive")
     _require_convergent(cfg)
     h = amplifier_hamiltonian(cfg)
-    form = (h.omega0, h.omega1, h.omega2.real, h.omega2.imag, h.omega3)
+    form = (h.k0_coefficient, h.effective_frequency, h.omega2.imag)
     a, b = lo, hi
     while b - a > rel_tol * max(a, 1e-12):
         temps = a + (b - a) * _ARGMIN_FRACTIONS

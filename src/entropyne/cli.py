@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, fock, gaussian, verify
 from .amplifier import AmplifierConfig, amplifier_delta_surface
 from .errors import DomainError, EntropyneError
-from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec  # noqa: F401 (DeltaGrid re-exported for callers)
+from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec
 from .qubit import BlochHamiltonian, qubit_delta_grid
 
 EXIT_OK = 0
@@ -159,12 +159,13 @@ def cmd_tsallis(args) -> int:
     print(f"order1={fmt(series.order1)}")
     print(f"order2={fmt(series.order2)}")
     deltas = [float(tok) for tok in args.delta_series.split(",")]
+    resid = []
     for d in deltas:
         direct = entropy.tsallis_relative_entropy(rho, sigma, 1.0 + d)
-        print(f"delta={fmt(d)} S={fmt(direct)} series={fmt(series.evaluate(d))}")
+        approx = series.evaluate(d)
+        print(f"delta={fmt(d)} S={fmt(direct)} series={fmt(approx)}")
+        resid.append(abs(direct - approx))
     if len(deltas) >= 2:
-        resid = [abs(entropy.tsallis_relative_entropy(rho, sigma, 1.0 + d)
-                     - series.evaluate(d)) for d in deltas]
         slope, _ = np.polyfit(np.log(deltas), np.log(resid), 1)
         print(f"residual_slope={fmt(float(slope))}")
     return EXIT_OK

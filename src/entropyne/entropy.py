@@ -23,7 +23,7 @@ from .errors import (
     SupportDeficient,
     ZeroTemperature,
 )
-from .hermitian import eigendecompose, gibbs_state, log_trace_exp  # noqa: F401
+from .hermitian import eigendecompose, log_trace_exp
 
 SUPPORT_EPS = 1e-12
 # Probability mass tolerated outside sigma's support before returning +inf.

@@ -38,8 +38,6 @@ from .errors import (
 )
 
 _MARGIN = 1e-12
-# sinh overflows double precision near phi ~ 710; past this xi is huge anyway.
-_PHI_OVERFLOW = 350.0
 
 
 @dataclass(frozen=True)
@@ -187,32 +185,16 @@ def _convergent_frequency(h: QuadraticHamiltonian, beta: float) -> float:
     return weff
 
 
-def _stable_pieces(h: QuadraticHamiltonian, beta: float):
-    """Overflow-safe building blocks of the disentangled exponential.
+def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
+    """Coefficients of e^{-beta H} = e^{-beta Im(w2)} e^{A+ K+} e^{ln(A0) K0} e^{A- K-}.
 
-    Returns (phi, weff, r, ln_den, u, xi) where r is the ratio of the
-    number-generator coefficient to the effective frequency weff,
-    ln_den = ln(cosh phi + r sinh phi) and u = sinh phi / (cosh phi + r sinh phi).
+    xi = (r^2 - 1) sinh^2(phi) follows phi = beta weff up to
+    `_kernels._PHI_CAP` (40) and keeps its value at the cap past it; that
+    changes no `xi < 1` decision, and xi stays finite.
     """
     weff = _convergent_frequency(h, beta)
-    phi = beta * weff
-    r = h.k0_coefficient / weff
-    e2 = math.exp(-2.0 * phi)
-    # A positive-definite form has r >= 1, so den_s > 0.
-    den_s = (1.0 + r) + (1.0 - r) * e2
-    ln_den = phi + math.log(0.5 * den_s)
-    u = (1.0 - e2) / den_s
-    if phi > _PHI_OVERFLOW:
-        xi = math.inf if abs(h.gamma1) > 0.0 else 0.0
-    else:
-        xi = (r * r - 1.0) * math.sinh(phi) ** 2
-    return phi, weff, r, ln_den, u, xi
-
-
-def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
-    """Coefficients of e^{-beta H} = e^{-beta Im(w2)} e^{A+ K+} e^{ln(A0) K0} e^{A- K-}."""
-    phi, weff, _, ln_den, u, xi = _stable_pieces(h, beta)
-    a_zero = math.exp(-2.0 * ln_den)
+    phi, ln_sqrt_zeta, u, _, xi = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
+    a_zero = math.exp(2.0 * ln_sqrt_zeta)
     a_plus = (-2.0 * h.gamma1.conjugate() / weff) * u
     a_minus = (-2.0 * h.gamma1 / weff) * u
     return Su11Coefficients(
@@ -256,12 +238,12 @@ def legendre_pn(n: int, z: float) -> float:
 
 def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float:
     """<n| e^{-beta H} |n> = e^{-beta Im(w2)} A0^{1/4} (A0(1-xi))^{n/2} P_n(1/sqrt(1-xi))."""
-    _, _, r, ln_den, u, xi = _stable_pieces(h, beta)
+    weff = _convergent_frequency(h, beta)
+    _, ln_sqrt_zeta, _, zeta_xi, xi = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
     if xi >= 1.0:
         raise DomainError(f"xi = {xi} >= 1: Legendre argument is not real")
-    a_zero = math.exp(-2.0 * ln_den)
-    a_zero_xi = (r * r - 1.0) * u * u
-    t = math.sqrt(max(a_zero - a_zero_xi, 0.0))
+    a_zero = math.exp(2.0 * ln_sqrt_zeta)
+    t = math.sqrt(max(a_zero - zeta_xi, 0.0))
     z = 1.0 / math.sqrt(1.0 - xi)
     return math.exp(-beta * h.omega2.imag) * a_zero**0.25 * t**n * legendre_pn(n, z)
 

@@ -82,12 +82,14 @@ class DeltaGrid:
     cells: np.ndarray  # shape (len(axis1), len(axis2)); NaN = flagged cell
     metadata: dict = field(default_factory=dict)
     marker_name: Optional[str] = None
-    markers: Optional[np.ndarray] = None  # same shape as cells, int
+    markers: Optional[np.ndarray] = None  # same shape as cells, int; needs marker_name
 
     def __post_init__(self) -> None:
         expected = (len(self.axis1_values), len(self.axis2_values))
         if self.cells.shape != expected:
             raise ValueError(f"cells shape {self.cells.shape} != {expected}")
+        if (self.markers is None) != (self.marker_name is None):
+            raise ValueError("markers and marker_name go together: give both or neither")
         if self.markers is not None and self.markers.shape != expected:
             raise ValueError(f"markers shape {self.markers.shape} != {expected}")
 

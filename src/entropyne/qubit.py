@@ -84,7 +84,7 @@ def bloch_entropy(p_norm: float) -> float:
     """
     if not 0.0 <= p_norm <= 1.0 + 1e-12:
         raise BlochNormExceeded(f"|p| = {p_norm}")
-    return _kernels._qubit_entropy(min(p_norm, 1.0))
+    return _kernels._qubit_entropy(p_norm)
 
 
 def log_partition_qubit(bh: BlochHamiltonian, temperature: float) -> float:

@@ -144,6 +144,28 @@ def test_su11_xi_consistency(seed):
     assert c.zeta == c.A_zero
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_xi_held_at_the_cap_decides_the_diagonal_elements(seed):
+    # Past phi = beta weff = 40, xi keeps its value at the cap: it stays
+    # finite, and fock_diagonal_element raises exactly where xi >= 1.  The
+    # random form has xi >= 1 there; the oscillator (gamma1 = 0) has xi = 0.
+    from entropyne.gaussian import random_quadratic_hamiltonian
+
+    for h in (random_quadratic_hamiltonian(seed), oscillator(0.5 + 0.2 * seed)):
+        weff = h.effective_frequency
+        for phi in np.geomspace(5.0, 1000.0, 12):
+            c = su11_coefficients(h, phi / weff)
+            assert math.isfinite(c.xi)
+            if phi > 40.0:
+                assert c.xi == su11_coefficients(h, 2.0 * phi / weff).xi
+            try:
+                fock_diagonal_element(h, phi / weff, 3)
+            except DomainError:
+                assert c.xi >= 1.0, (phi, c.xi)
+            else:
+                assert c.xi < 1.0, (phi, c.xi)
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
 def test_partition_harmonic_exact(beta, omega0):

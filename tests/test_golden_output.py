@@ -244,3 +244,15 @@ def test_markers_of_the_wrong_shape_are_rejected():
     with pytest.raises(ValueError, match="markers shape"):
         DeltaGrid("T", "nbar", np.ones(3), np.arange(2.0), np.ones((3, 2)),
                   marker_name="argmin", markers=np.array([[1, 0]]))
+
+
+def test_markers_without_a_name_are_rejected():
+    with pytest.raises(ValueError, match="marker_name"):
+        DeltaGrid("T", "nbar", np.ones(2), np.arange(2.0), np.ones((2, 2)),
+                  markers=np.array([[1, 0], [0, 1]]))
+
+
+def test_a_marker_name_without_markers_is_rejected():
+    with pytest.raises(ValueError, match="marker_name"):
+        DeltaGrid("T", "nbar", np.ones(2), np.arange(2.0), np.ones((2, 2)),
+                  marker_name="argmin")

@@ -31,8 +31,10 @@ def test_form_threshold_is_stated():
     assert _kernels._FORM_RTOL == FORM_RTOL
 
 
-def test_qubit_cells_match_records():
-    p_norm, h0, h_norm = 0.37, 0.4, math.sqrt(14.0)
+# 1 + 5e-13 is past |p| = 1 but within the accepted 1e-12 slack; both paths clamp it.
+@pytest.mark.parametrize("p_norm", [0.37, 1.0 + 5e-13])
+def test_qubit_cells_match_records(p_norm):
+    h0, h_norm = 0.4, math.sqrt(14.0)
     ham = BlochHamiltonian(h0=h0, h=np.array([0.0, 0.0, h_norm]))
     for temps in (TEMPS, -TEMPS):
         cells = _kernels.qubit_delta_cells(p_norm, h0, h_norm, THETAS, temps)
@@ -82,8 +84,8 @@ NAMED_FORMS = {
 
 
 def check_cells_against_scalar(h, temps):
-    cells = _kernels.amplifier_delta_cells(temps, NBARS, h.omega0, h.omega1,
-                                           h.omega2.real, h.omega2.imag, h.omega3)
+    cells = _kernels.amplifier_delta_cells(temps, NBARS, h.k0_coefficient,
+                                           h.effective_frequency, h.omega2.imag)
     for i, t in enumerate(temps):
         for j, nbar in enumerate(NBARS):
             state = thermal_light_covariance(ThermalLight(nbar), h.omega0)
@@ -188,12 +190,12 @@ def test_kernels_bit_identical_to_broadcast_expression():
         amp_temps = np.sort(rng.uniform(0.05, 10.0, 50))
         for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"]):
             for t in (amp_temps, WIDE_TEMPS):
-                cells = _kernels.amplifier_delta_cells(t, nbars, h.omega0, h.omega1,
-                                                       h.omega2.real, h.omega2.imag, h.omega3)
+                cells = _kernels.amplifier_delta_cells(t, nbars, h.k0_coefficient,
+                                                       h.effective_frequency, h.omega2.imag)
                 assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
                                       equal_nan=True)
     # WIDE_TEMPS blanks the default amplifier's hottest rows, so NaN rows are covered.
     h = NAMED_FORMS["amplifier-default"]
-    cells = _kernels.amplifier_delta_cells(WIDE_TEMPS, NBARS, h.omega0, h.omega1,
-                                           h.omega2.real, h.omega2.imag, h.omega3)
+    cells = _kernels.amplifier_delta_cells(WIDE_TEMPS, NBARS, h.k0_coefficient,
+                                           h.effective_frequency, h.omega2.imag)
     assert np.isnan(cells).all(axis=1).any()
