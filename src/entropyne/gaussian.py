@@ -8,7 +8,8 @@ partition function of a quadratic Hamiltonian
 
 is evaluated in closed form through its su(1,1) decomposition, with the
 quadrature frequency convention p = i sqrt(omega0/2)(adag - a),
-q = (a + adag)/sqrt(2 omega0).
+q = (a + adag)/sqrt(2 omega0).  ln Z, `su11_coefficients` and
+`fock_diagonal_element` all read it from `_kernels.su11_pieces`.
 
 Note on first moments: the mean momentum closed form used here is
 (a2 Im(b1) - 2 Im(a1* b1)) / (2 Re(a1) - a2).  It was arbitrated against
