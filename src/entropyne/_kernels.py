@@ -5,9 +5,11 @@ temperatures.  The scalar library (`qubit`, `gaussian`) calls them on a
 float and the grid kernels on an array, and `effective_frequency` decides
 for both whether a quadratic form converges, so a grid cell and a scalar
 record agree on the value and on whether it diverges.  Cells where the
-quadratic Hamiltonian has no convergent partition function are NaN.
-`su11_pieces` is the one su(1,1) disentangling: the Gaussian ln Z, the
-su(1,1) coefficients and the Fock diagonal elements all read it.
+quadratic Hamiltonian has no convergent partition function are NaN.  A
+convergent form is an oscillator of frequency `effective_frequency` plus
+the constant Im(w2), so its ln Z is finite at every beta > 0 and does not
+depend on w0.  `su11_pieces` is the paper's su(1,1) disentangling, which
+the su(1,1) coefficients and the Fock diagonal elements read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 
 import numpy as np
 
-_DENOM_EPS = 1e-14
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
 # noise around 0 diverges instead of giving a noise-sized frequency.
@@ -57,9 +58,8 @@ def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
     return out
 
 
-def effective_frequency(omega0: float, omega1: float, omega2_re: float,
-                        omega3: float) -> float:
-    """Normal-mode frequency of H = w1 p^2 + 2 Re(w2) pq + w3 q^2, or NaN.
+def effective_frequency(omega1: float, omega2_re: float, omega3: float) -> float:
+    """Normal-mode frequency 2 sqrt(g) of H = w1 p^2 + 2 Re(w2) pq + w3 q^2, or NaN.
 
     The partition function converges only for a positive-definite form:
     w1 > 0 and g = w1 w3 - Re(w2)^2 > _FORM_RTOL w1 w3.  Any other form,
@@ -68,12 +68,7 @@ def effective_frequency(omega0: float, omega1: float, omega2_re: float,
     g = omega1 * omega3 - omega2_re * omega2_re
     if not (omega1 > 0.0 and g > _FORM_RTOL * omega1 * omega3):
         return math.nan
-    big = omega0 * omega1 + omega3 / omega0
-    g1sq = 0.25 * (omega3 / omega0 - omega0 * omega1) ** 2 + omega2_re**2
-    # Equal to 4 g in exact arithmetic, but it cancels down from big^2, so
-    # for omega0 far from sqrt(w3/w1) its rounding can still reach 0.
-    weff2 = big * big - 4.0 * g1sq
-    return math.sqrt(weff2) if weff2 > 0.0 else math.nan
+    return 2.0 * math.sqrt(g)
 
 
 def su11_pieces(beta, k0: float, weff: float):
@@ -97,47 +92,34 @@ def su11_pieces(beta, k0: float, weff: float):
     return phi, ln_sqrt_zeta, u, zeta_xi, xi
 
 
-def gaussian_log_z(beta, k0: float, weff: float, omega2_im: float):
-    """ln Z of a quadratic Hamiltonian at inverse temperature beta > 0.
+def gaussian_log_z(beta, weff: float, omega2_im: float):
+    """ln Z = -beta Im(w2) - (x/2 + ln(1 - e^{-x})), x = beta weff, of a quadratic Hamiltonian.
 
-    beta, k0 and weff are those of `su11_pieces` (NaN weff gives NaN here).
-    The su(1,1) closed form is ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} /
-    (1 - 2 zeta^{1/2} + zeta (1 - xi))^{1/2}].  NaN marks a beta where it
-    fails a check: the denominator is not above _DENOM_EPS, or the
-    diagonal-element sum's Legendre growth ratio reaches 1.
+    weff comes from `effective_frequency` (NaN gives NaN).  Accurate at every
+    x > 0; an x that underflows to 0 gives +inf, without a warning.
     """
-    _, ln_sqrt_zeta, _, zeta_xi, xi = su11_pieces(beta, k0, weff)
-    sz = np.exp(ln_sqrt_zeta)
-    denom = 1.0 - 2.0 * sz + sz * sz - zeta_xi
-    # Growth bound of the diagonal-element sum (Legendre asymptotics); it
-    # applies where xi < 1.  Adding a mask (0 or 1) to |x| keeps each sqrt
-    # and log argument positive where its result is not used, at a fraction
-    # of np.where's cost on a float beta.
-    legendre = xi < 1.0
-    z = 1.0 / np.sqrt(np.abs(1.0 - xi) + ~legendre)
-    growth = np.sqrt(np.maximum(sz * sz - zeta_xi, 0.0)) \
-        * (z + np.sqrt(np.maximum(z * z - 1.0, 0.0)))
-    bad = (denom <= _DENOM_EPS) | (legendre & (growth >= 1.0))
-    lnz = 0.5 * ln_sqrt_zeta - beta * omega2_im - 0.5 * np.log(np.abs(denom) + bad)
-    return np.where(bad, np.nan, lnz)
+    x = beta * weff
+    with np.errstate(divide="ignore"):
+        return -beta * omega2_im - (0.5 * x + np.log(-np.expm1(-x)))
 
 
 def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
                           weff: float, omega2_im: float) -> np.ndarray:
     """Distance parameter of the thermal state over a (T, nbar) grid.
 
-    k0, weff and omega2_im are those of `gaussian_log_z`.  Rows are T,
-    columns nbar; NaN marks cells without a convergent partition function.
+    k0 = w0 w1 + w3/w0; weff and omega2_im are those of `gaussian_log_z`.
+    Rows are T, columns nbar; NaN marks cells without a convergent partition
+    function.  A cell past the double range is inf or NaN, without a warning.
     """
     t = np.ascontiguousarray(temps, dtype=np.float64)
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
-    lnz = gaussian_log_z(1.0 / t, k0, weff, omega2_im)
-    energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lnz = gaussian_log_z(1.0 / t, weff, omega2_im)
+        energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
-    # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-    out = np.multiply.outer(t, s)
-    np.subtract(energy, out, out=out)
-    out += (t * lnz)[:, None]
+        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+        out = np.multiply.outer(t, s)
+        np.subtract(energy, out, out=out)
+        out += (t * lnz)[:, None]
     return out

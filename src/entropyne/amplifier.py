@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .errors import BracketError, DivergentPartition, DomainError
+from .errors import BracketError, DivergentPartition, DomainError, NumericalFailure
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
 
@@ -120,10 +120,11 @@ def nbar_from_temperature(t_prime: float, omega_t: float) -> float:
 def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
                             nbar_range: GridSpec,
                             metadata: dict | None = None) -> DeltaGrid:
-    """Distance parameter over (T, nbar); divergent cells are flagged, not fatal.
+    """Distance parameter over (T, nbar), with a per-nbar argmin marker column:
+    1 at the T row minimizing the distance for that nbar, 0 elsewhere.
 
-    Carries a per-nbar argmin marker column: 1 at the T row minimizing the
-    distance for that nbar, 0 elsewhere.
+    Raises DivergentPartition when the form has no partition function, and
+    NumericalFailure when a cell overflows a double.
     """
     temps = T_range.values()
     nbars = nbar_range.values()
@@ -133,8 +134,11 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         raise DomainError("nbar range must be nonnegative")
     _require_convergent(cfg)
     h = amplifier_hamiltonian(cfg)
-    cells = _kernels.amplifier_delta_cells(temps, nbars, h.k0_coefficient,
-                                           h.effective_frequency, h.omega2.imag)
+    weff = h.effective_frequency
+    cells = _kernels.amplifier_delta_cells(temps, nbars, h.k0_coefficient, weff, h.omega2.imag)
+    # A convergent form's cells are finite unless T ln Z or 1/T passes 1.8e308.
+    if not (math.isnan(weff) or np.isfinite(cells).all()):
+        raise NumericalFailure("Delta overflows a double on this grid (T ln Z or 1/T)")
     return DeltaGrid(
         axis1_name="T",
         axis2_name="nbar",
@@ -195,7 +199,7 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         delta = _kernels.amplifier_delta_cells(temps, np.array([nbar]), *form)[:, 0]
         i = int(np.argmin(delta))  # the first NaN if there is one
         if math.isnan(delta[i]):
-            raise DivergentPartition(f"the closed form diverges on T in [{a}, {b}]")
+            raise DivergentPartition(f"Delta is NaN at a sample of T in [{a}, {b}]")
         a_next, b_next = temps[max(i - 1, 0)], temps[min(i + 1, len(temps) - 1)]
         if b_next - a_next >= b - a:  # a and b are adjacent floats
             break

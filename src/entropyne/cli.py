@@ -116,12 +116,12 @@ def cmd_gaussian_z(args) -> int:
         omega0=args.omega0, omega1=args.omega1,
         omega2=complex(args.omega2_re, args.omega2_im), omega3=args.omega3,
     )
-    log_z = gaussian.log_partition_function(h, args.beta)
-    print(f"Z={fmt(math.exp(log_z))}")
-    print(f"lnZ={fmt(log_z)}")
+    z = gaussian.partition_function(h, args.beta)
+    print(f"Z={fmt(z)}")
+    print(f"lnZ={fmt(gaussian.log_partition_function(h, args.beta))}")
     if args.oracle:
         brute = fock.stable_partition(h, args.beta, n_cap=args.oracle)
-        rel = abs(math.exp(log_z) - brute) / brute
+        rel = abs(z - brute) / brute
         print(f"oracle_Z={fmt(brute)}")
         print(f"oracle_rel_diff={fmt(rel)}")
     return EXIT_OK

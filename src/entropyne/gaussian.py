@@ -6,10 +6,11 @@ partition function of a quadratic Hamiltonian
 
     H = omega1 p^2 + omega2 p q + omega2* q p + omega3 q^2
 
-is evaluated in closed form through its su(1,1) decomposition, with the
-quadrature frequency convention p = i sqrt(omega0/2)(adag - a),
-q = (a + adag)/sqrt(2 omega0).  ln Z, `su11_coefficients` and
-`fock_diagonal_element` all read it from `_kernels.su11_pieces`.
+is that of an oscillator of frequency 2 sqrt(omega1 omega3 - Re(omega2)^2),
+shifted by Im(omega2), when the form is positive definite; it does not depend
+on omega0.  `su11_coefficients` and `fock_diagonal_element` read the paper's
+su(1,1) decomposition from `_kernels.su11_pieces`, with the convention
+p = i sqrt(omega0/2)(adag - a), q = (a + adag)/sqrt(2 omega0).
 
 Note on first moments: the mean momentum closed form used here is
 (a2 Im(b1) - 2 Im(a1* b1)) / (2 Re(a1) - a2).  It was arbitrated against
@@ -29,11 +30,11 @@ import numpy as np
 from . import _kernels
 from .entropy import DeltaRecord, delta_from_scalars
 from .errors import (
-    DivergentPartition,
     DomainError,
     HyperbolicDomain,
     InvalidGaussian,
     NegativeBeta,
+    NumericalFailure,
     UnphysicalCovariance,
     ZeroTemperature,
 )
@@ -111,8 +112,7 @@ class QuadraticHamiltonian:
     @property
     def effective_frequency(self) -> float:
         """Normal-mode frequency 2 sqrt(w1 w3 - Re(w2)^2); NaN unless positive definite."""
-        return _kernels.effective_frequency(self.omega0, self.omega1,
-                                            self.omega2.real, self.omega3)
+        return _kernels.effective_frequency(self.omega1, self.omega2.real, self.omega3)
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,11 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
 
 
 def _convergent_frequency(h: QuadraticHamiltonian, beta: float) -> float:
-    """The effective frequency of h, once beta > 0 and the form are accepted."""
+    """The effective frequency of h, once 0 < beta < inf and the form are accepted."""
     if not beta > 0.0:
         raise NegativeBeta(f"beta must be positive, got {beta}")
+    if beta == math.inf:
+        raise ZeroTemperature("beta must be finite: T = 0 is not supported")
     weff = h.effective_frequency
     if math.isnan(weff):
         raise HyperbolicDomain(
@@ -210,17 +212,24 @@ def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
 
 
 def log_partition_function(h: QuadraticHamiltonian, beta: float) -> float:
-    """ln Z = ln[zeta^{1/4} e^{-beta Im(w2)} / (1 - 2 zeta^{1/2} + zeta(1-xi))^{1/2}]."""
+    """ln Z = -beta Im(w2) - ln(2 sinh(beta w_eff / 2)), w_eff = 2 sqrt(w1 w3 - Re(w2)^2).
+
+    NumericalFailure where beta w_eff under- or overflows and ln Z is not a double.
+    """
     weff = _convergent_frequency(h, beta)
-    log_z = float(_kernels.gaussian_log_z(beta, h.k0_coefficient, weff,
-                                          h.omega2.imag))
-    if math.isnan(log_z):
-        raise DivergentPartition(f"the closed form diverges at beta = {beta}")
+    log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
+    if not math.isfinite(log_z):
+        raise NumericalFailure(f"ln Z = {log_z} at beta = {beta}: outside the double range")
     return log_z
 
 
 def partition_function(h: QuadraticHamiltonian, beta: float) -> float:
-    return math.exp(log_partition_function(h, beta))
+    """Z = e^{ln Z}; raises NumericalFailure where Z overflows a double."""
+    log_z = log_partition_function(h, beta)
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise NumericalFailure(f"Z = exp({log_z}) overflows a double") from None
 
 
 def legendre_pn(n: int, z: float) -> float:

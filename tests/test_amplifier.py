@@ -113,11 +113,14 @@ def test_argmin_markers_match_column_loop():
     assert np.array_equal(markers, loop_argmin_markers(cells))
     assert markers[:, [0, 7, 29]].sum() == 0
     assert markers[0, 4] == 1 and markers[2, 5] == 1
-    # The surface's markers on grids with divergent rows.
-    surface = amplifier_delta_surface(AmplifierConfig(), GridSpec(1e5, 1e8, 4),
-                                      GridSpec(1.0, 2.0, 2))
-    assert np.isnan(surface.cells).any()
-    assert np.array_equal(surface.markers, loop_argmin_markers(surface.cells))
+    # Surface cells, then the same cells with whole T rows blanked, as a
+    # divergent row would be; the blanked rows hold some column minima.
+    surface = amplifier_delta_surface(CFG, GridSpec(0.2, 10.0, 40), GridSpec(0.5, 4.0, 6))
+    cells = surface.cells
+    assert np.array_equal(surface.markers, loop_argmin_markers(cells))
+    cells[np.argmax(surface.markers, axis=0)[::2]] = np.nan
+    cells[rng.random(len(cells)) < 0.3] = np.nan
+    assert np.array_equal(_argmin_markers(cells), loop_argmin_markers(cells))
 
 
 def test_argmin_marker_never_on_a_divergent_cell():
@@ -175,10 +178,24 @@ def test_argmin_within_one_step_of_surface_marker(nbar):
     assert abs(delta_argmin_temperature(CFG, nbar, (0.1, 10.0)) - marker_t) <= t_step
 
 
-def test_argmin_divergent_sample_raises():
-    # The su(1,1) ln Z blanks T >= 3.34e7 at k = 0.1 (ROADMAP items 4 and 7).
+def test_argmin_divergent_sample_raises(monkeypatch):
+    kernel = _kernels.amplifier_delta_cells
+
+    def nan_sample(*args):
+        delta = kernel(*args)
+        delta[len(delta) // 2] = np.nan
+        return delta
+
+    monkeypatch.setattr(_kernels, "amplifier_delta_cells", nan_sample)
     with pytest.raises(DivergentPartition):
-        delta_argmin_temperature(CFG, 1.0, (1.0, 1e8))
+        delta_argmin_temperature(CFG, 1.0, (0.1, 10.0))
+
+
+def test_argmin_wide_bracket():
+    # The bracket reaches beta omega_eff ~ 1e-8, where ln Z is still finite.
+    expected = amplifier_hamiltonian(CFG).effective_frequency / math.log(2.0)
+    t_star = delta_argmin_temperature(CFG, 1.0, (1.0, 1e8))
+    assert abs(t_star - expected) <= 1e-5 * expected
 
 
 def test_argmin_rejects_nan_nbar():

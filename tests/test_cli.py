@@ -158,6 +158,47 @@ def test_domain_errors_exit_3():
                  "--beta", "-1"]) == 3
 
 
+@pytest.mark.parametrize("omega0", ["1e-9", "1", "1e4", "1e9"])
+def test_gaussian_z_does_not_depend_on_omega0(omega0, capsys):
+    assert main(["gaussian-z", "--omega0", omega0, "--omega1", "0.5", "--omega3", "0.5",
+                 "--beta", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "lnZ=-0.041324854612918072"
+
+
+def assert_one_error_line(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("omega2_im", ["0.3", "0"])
+def test_gaussian_z_infinite_beta_exits_3(omega2_im, capsys):
+    # beta = inf is T = 0: with Im(omega2) != 0, ln Z would read -inf.
+    assert_one_error_line(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                           "--omega2-im", omega2_im, "--beta", "inf"], capsys)
+
+
+def test_gaussian_z_overflow_exits_3(capsys):
+    # ln Z = 736.8 is finite, but Z = e^{ln Z} is past the double range.
+    err = assert_one_error_line(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                                 "--beta", "1e-320"], capsys)
+    assert "overflows" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("temp", ["1e300:1e308:2", "1e-320:1:3"])
+def test_amplifier_grid_overflow_exits_3(temp, fmt, capsys):
+    # T ln Z passes 1.8e308 at T = 1e308, and 1/T at T = 1e-320: no inf,
+    # Infinity or blank cell is written, and numpy warns of nothing (a
+    # warning would fail this test).
+    err = assert_one_error_line(["amplifier-grid", "--temp", temp, "--nbar", "1:2:2",
+                                 "--format", fmt], capsys)
+    assert "overflows" in err
+
+
 AMPLIFIER_ARGS = ["amplifier-grid", "--temp", "1:2:2", "--nbar", "1:2:2"]
 
 

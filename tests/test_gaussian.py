@@ -14,6 +14,7 @@ from entropyne import (
     HyperbolicDomain,
     InvalidGaussian,
     NegativeBeta,
+    NumericalFailure,
     QuadraticHamiltonian,
     ZeroTemperature,
     covariance_from_params,
@@ -195,6 +196,26 @@ def test_partition_rejects_nonpositive_beta():
         log_partition_function(HARMONIC, 0.0)
     with pytest.raises(NegativeBeta):
         log_partition_function(HARMONIC, math.nan)
+
+
+@pytest.mark.parametrize("omega2_im", [0.3, 0.0])
+def test_partition_rejects_infinite_beta(omega2_im):
+    h = QuadraticHamiltonian(omega0=1.0, omega1=0.5, omega2=complex(0.0, omega2_im),
+                             omega3=0.5)
+    with pytest.raises(ZeroTemperature):
+        log_partition_function(h, math.inf)
+
+
+def test_partition_overflow_raises():
+    # ln Z = -ln(2 sinh(1e-320 / 2)) is finite; Z is past the double range.
+    assert math.isclose(log_partition_function(HARMONIC, 1e-320), -math.log(1e-320),
+                        rel_tol=1e-6)
+    with pytest.raises(NumericalFailure):
+        partition_function(HARMONIC, 1e-320)
+    # beta omega_eff underflows to 0, where ln Z would read +inf.
+    tiny = QuadraticHamiltonian(omega0=1.0, omega1=1e-150, omega2=0j, omega3=1e-150)
+    with pytest.raises(NumericalFailure):
+        log_partition_function(tiny, 1e-200)
 
 
 def test_partition_large_beta_stable():

@@ -35,10 +35,10 @@ CASES = {
         "3b6b83a08aef72aaff13aab4e866534031466227061f84b4e2c92491b638a9cf"),
     "amplifier-markers-csv": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"],
-        "59300d8e8e343efa60bbbb79baea4eecc567b7fbe2dbdcae7da916baec3f0bf7"),
+        "17702f7dbf2404ae8876ba37d07332d86b4cb9f65f98ef83e0ccb5a30bedf801"),
     "amplifier-markers-json": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"] + JSON,
-        "539d3ef8139bb9e8535aaecb89ef316aa8f4aa53e98f162d1e9f764a8ad23672"),
+        "3f734be9b3d977542c658752bf7c58216009e5d49b24cc47dc154eeddabb16f6"),
     # A marginal form: w1 w3 - Re(w2)^2 is exactly 0, so every cell diverges.
     "amplifier-divergent-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
@@ -56,15 +56,15 @@ CASES = {
         AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
         DIVERGED),
-    # A positive-definite form whose rows at T >= 3.34e7 diverge (blank / null
-    # cells): there beta omega_eff is so small that the closed form's
-    # denominator is rounding noise.
+    # A positive-definite form down to beta omega_eff ~ 1e-8, where the
+    # paper's su(1,1) ln Z loses its denominator to rounding (T >= 3.34e7):
+    # the normal-mode ln Z keeps every cell within 4e-16 of its exact value.
     "amplifier-partial-csv": (
         AMPLIFIER + ["--temp", "1e5:1e8:4", "--nbar", "1:2:2"],
-        "afc3f2e23a043d00eb7d31443972a5c37304e19eccc7735ab1ea0d483003312d"),
+        "f37f2618f29fc97b17c2d104f4a4cc2b0dc87426c8db33cf311a14a5743825ad"),
     "amplifier-partial-json": (
         AMPLIFIER + ["--temp", "1e5:1e8:4", "--nbar", "1:2:2"] + JSON,
-        "dfa71f24b965e3bf1aadc91de1716ca104f28fdaaa7b482dd5ae67143891e930"),
+        "d2a8923c492d05ff8836c45693b2283aff7f35df1a7202beefa60a676399e630"),
     # The T = 1e-300 column overflows to +inf.
     "qubit-infinite-csv": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
@@ -80,13 +80,13 @@ CASES = {
         "5859f45121607a6894ea6c8799b3405b8ae55aaf7213b022df904e93e49c2b81"),
     "amplifier-many-rows-json": (
         AMPLIFIER + ["--temp", "0.5:5:2001", "--nbar", "0.5:4:11"] + JSON,
-        "278a76d2948a96afb40b89ffa8fbabad444060ce0d97b9d846b91cc7f8a9f482"),
+        "d14de1c429ea6c1cefd15ca49870bf50bbde7e609ec06fc2886ff9e305522caf"),
     "qubit-1x1-csv": (
         QUBIT + ["--theta", "1:1:1", "--temp", "2:2:1"],
         "f205d7a6a67a1d269198c19ab30014c40b51339b8c16bcf48b86f55bc35f936a"),
     "amplifier-1x1-json": (
         AMPLIFIER + ["--temp", "2:2:1", "--nbar", "1:1:1"] + JSON,
-        "3aa8eb2d2545d8588dd7d5ea28fcfb3a126779baaba6046b2319d67a71540626"),
+        "9c8cc3088c0ad9232e8b62c952f906ce7cbd22845948f3ab80128e2753369a7e"),
 }
 
 

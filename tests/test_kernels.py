@@ -8,14 +8,15 @@ import pytest
 from entropyne import _kernels
 from entropyne.amplifier import (AmplifierConfig, ThermalLight, amplifier_hamiltonian,
                                  thermal_light_covariance)
-from entropyne.errors import DomainError
+from entropyne.errors import DomainError, HyperbolicDomain
 from entropyne.gaussian import (QuadraticHamiltonian, gaussian_delta, log_partition_function,
                                 random_quadratic_hamiltonian)
 from entropyne.qubit import BlochHamiltonian, qubit_delta_record
 
 THETAS = np.linspace(0.0, math.pi, 17)
 TEMPS = np.linspace(0.5, 8.0, 11)
-# Down to beta omega_eff ~ 1e-8, where the closed form's denominator check fires.
+# Down to beta omega_eff ~ 1e-8, where the paper's su(1,1) ln Z has lost its
+# denominator to rounding; the normal-mode ln Z is finite at every T > 0.
 WIDE_TEMPS = np.geomspace(0.05, 1e8, 12)
 NBARS = np.linspace(0.0, 6.0, 4)
 
@@ -110,11 +111,10 @@ def test_named_forms_match_scalar(name):
     # WIDE_TEMPS, and the temperatures of the amplifier-divergent golden case.
     check_cells_against_scalar(NAMED_FORMS[name], np.linspace(0.2, 10.0, 8))
     cells = check_cells_against_scalar(NAMED_FORMS[name], WIDE_TEMPS)
-    divergent = np.isnan(cells).all(axis=1)
     if name == "amplifier-default":
-        assert divergent.any() and not divergent.all()
+        assert not np.isnan(cells).any()
     else:
-        assert divergent.all()
+        assert np.isnan(cells).all()
 
 
 def test_amplifier_cells_match_gaussian_delta():
@@ -125,34 +125,82 @@ def test_amplifier_cells_match_gaussian_delta():
 
 
 def test_form_rule_threshold():
-    # With omega0 = sqrt(w3/w1) the frequency expression does not cancel,
-    # so the rule alone decides.
+    # The frequency is 2 sqrt(g) of the rule's own g, so the rule alone
+    # decides, and omega0 plays no part, however far it is from sqrt(w3/w1).
     for seed in range(20):
         rng = np.random.default_rng([seed, 13])
         w1, w3 = float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2))
-        w0 = math.sqrt(w3 / w1)
         for sign, accepted in ((1.0, True), (-1.0, False), (0.0, False)):
             w2 = math.sqrt(w1 * w3 * (1.0 - sign * 2.0 * FORM_RTOL))
-            weff = _kernels.effective_frequency(w0, w1, w2, w3)
+            weff = _kernels.effective_frequency(w1, w2, w3)
             assert math.isfinite(weff) == accepted, (seed, sign)
-    assert math.isnan(_kernels.effective_frequency(1.0, math.nan, 0.0, 1.0))
+            for w0 in (math.sqrt(w3 / w1), 1e-9, 1e9):
+                h = QuadraticHamiltonian(omega0=w0, omega1=w1, omega2=complex(w2, 0.0),
+                                         omega3=w3)
+                assert np.array_equal(h.effective_frequency, weff, equal_nan=True)
+                if accepted:
+                    assert math.isfinite(log_partition_function(h, 1.0))
+                else:
+                    with pytest.raises(HyperbolicDomain):
+                        log_partition_function(h, 1.0)
+    assert math.isnan(_kernels.effective_frequency(math.nan, 0.0, 1.0))
 
 
-# Closed form against the normal-mode form ln Z = -beta Im w2 - ln(2 sinh(beta weff / 2)),
-# weff = 2 sqrt(w1 w3 - Re(w2)^2).  The closed form's denominator cancels like
-# (beta weff)^2, so its error grows as beta weff falls.
+# ln Z against a 50-digit normal-mode reference: the library evaluates that
+# form, so it is held to rounding of its terms, at any omega0 and down to
+# beta omega_eff = 1e-9.  The paper's su(1,1) expression, written here from
+# su11_pieces, is held to LOG_Z_ATOL where beta omega_eff is well conditioned:
+# its denominator cancels like (beta omega_eff)^2, so its error grows as
+# beta omega_eff falls.
+LOG_Z_RTOL = 8.0 * np.finfo(np.float64).eps
 LOG_Z_ATOL = 2e-10
 
 
+def reference_log_z(mpmath, h, beta):
+    """-beta Im w2 - ln(2 sinh(beta weff / 2)) at 50 digits, and the size of its terms."""
+    with mpmath.workdps(50):
+        w1, w2, w3 = (mpmath.mpf(v) for v in (h.omega1, h.omega2.real, h.omega3))
+        x = mpmath.mpf(beta) * 2 * mpmath.sqrt(w1 * w3 - w2 * w2)
+        shift = mpmath.mpf(beta) * mpmath.mpf(h.omega2.imag)
+        log_sinh = mpmath.log(2 * mpmath.sinh(x / 2))
+        return -shift - log_sinh, float(abs(shift) + x / 2 + abs(log_sinh - x / 2))
+
+
 def test_log_z_matches_normal_mode_form():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2017)
+    for _ in range(12):
+        w1, w3 = rng.uniform(0.01, 100.0, 2)
+        w2 = complex(rng.uniform(-0.9, 0.9) * math.sqrt(w1 * w3), rng.normal(0.0, 3.0))
+        forms = [QuadraticHamiltonian(omega0=w0, omega1=float(w1), omega2=w2,
+                                      omega3=float(w3))
+                 for w0 in (1e-9, 1e-4, 1.0, 1e4, 1e9)]
+        weff = forms[0].effective_frequency
+        for x in np.geomspace(1e-9, 1e3, 25):
+            beta = float(x) / weff
+            exact, scale = reference_log_z(mpmath, forms[0], beta)
+            for h in forms:
+                assert abs(log_partition_function(h, beta) - exact) <= LOG_Z_RTOL * scale
+
+
+def su11_log_z(h, beta):
+    """The paper's ln Z = ln[zeta^{1/4} e^{-beta Im w2} / (1 - 2 zeta^{1/2} + zeta(1 - xi))^{1/2}]."""
+    _, ln_sqrt_zeta, _, zeta_xi, _ = _kernels.su11_pieces(beta, h.k0_coefficient,
+                                                          h.effective_frequency)
+    sz = math.exp(ln_sqrt_zeta)
+    return 0.5 * ln_sqrt_zeta - beta * h.omega2.imag \
+        - 0.5 * math.log(1.0 - 2.0 * sz + sz * sz - zeta_xi)
+
+
+def test_su11_log_z_matches_normal_mode_form():
+    mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     for seed in range(40):
         h = random_quadratic_hamiltonian(seed)
-        weff = 2.0 * math.sqrt(h.omega1 * h.omega3 - h.omega2.real ** 2)
         for x in np.geomspace(1e-3, 50.0, 30):
-            beta = float(x) / weff
-            exact = -beta * h.omega2.imag - (0.5 * x + math.log(-math.expm1(-x)))
-            worst = max(worst, abs(log_partition_function(h, beta) - exact))
+            beta = float(x) / h.effective_frequency
+            exact, _ = reference_log_z(mpmath, h, beta)
+            worst = max(worst, abs(su11_log_z(h, beta) - exact))
     assert worst <= LOG_Z_ATOL
 
 
@@ -166,8 +214,8 @@ def broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps):
 def broadcast_amplifier_cells(temps, nbars, h):
     nb = nbars[None, :]
     k0 = h.omega0 * h.omega1 + h.omega3 / h.omega0
-    weff = _kernels.effective_frequency(h.omega0, h.omega1, h.omega2.real, h.omega3)
-    lnz = _kernels.gaussian_log_z(1.0 / temps, k0, weff, h.omega2.imag)[:, None]
+    weff = _kernels.effective_frequency(h.omega1, h.omega2.real, h.omega3)
+    lnz = _kernels.gaussian_log_z(1.0 / temps, weff, h.omega2.imag)[:, None]
     energy = k0 * (1.0 + 2.0 * nb) / 2.0 + h.omega2.imag
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
@@ -188,14 +236,12 @@ def test_kernels_bit_identical_to_broadcast_expression():
                               broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps))
         nbars = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 40)])
         amp_temps = np.sort(rng.uniform(0.05, 10.0, 50))
-        for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"]):
+        # The negative-definite form covers NaN cells.
+        for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"],
+                  NAMED_FORMS["negative-definite-half"]):
             for t in (amp_temps, WIDE_TEMPS):
                 cells = _kernels.amplifier_delta_cells(t, nbars, h.k0_coefficient,
                                                        h.effective_frequency, h.omega2.imag)
                 assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
                                       equal_nan=True)
-    # WIDE_TEMPS blanks the default amplifier's hottest rows, so NaN rows are covered.
-    h = NAMED_FORMS["amplifier-default"]
-    cells = _kernels.amplifier_delta_cells(WIDE_TEMPS, NBARS, h.k0_coefficient,
-                                           h.effective_frequency, h.omega2.imag)
-    assert np.isnan(cells).all(axis=1).any()
+                assert np.isnan(cells).all() == (h is NAMED_FORMS["negative-definite-half"])
