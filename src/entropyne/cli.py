@@ -154,18 +154,25 @@ def cmd_tsallis(args) -> int:
             print("# support(rho) is not contained in support(sigma)")
         return EXIT_OK
 
+    try:
+        deltas = [float(tok) for tok in args.delta_series.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--delta-series: {exc}") from None
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise UsageError(f"--delta-series: every delta must be finite and > 0, "
+                         f"got {args.delta_series}")
     series = entropy.tsallis_series(rho, sigma)
     print(f"order0={fmt(series.order0)}")
     print(f"order1={fmt(series.order1)}")
     print(f"order2={fmt(series.order2)}")
-    deltas = [float(tok) for tok in args.delta_series.split(",")]
     resid = []
     for d in deltas:
         direct = entropy.tsallis_relative_entropy(rho, sigma, 1.0 + d)
         approx = series.evaluate(d)
         print(f"delta={fmt(d)} S={fmt(direct)} series={fmt(approx)}")
         resid.append(abs(direct - approx))
-    if len(deltas) >= 2:
+    # A zero residual (as with rho = sigma) leaves no power law to fit.
+    if len(deltas) >= 2 and all(resid):
         slope, _ = np.polyfit(np.log(deltas), np.log(resid), 1)
         print(f"residual_slope={fmt(float(slope))}")
     return EXIT_OK

@@ -28,14 +28,17 @@ from .hermitian import eigendecompose, log_trace_exp
 SUPPORT_EPS = 1e-12
 # Probability mass tolerated outside sigma's support before returning +inf.
 KERNEL_MASS_TOL = 1e-10
+# Tolerated deviation of a density matrix's trace from 1, and of its
+# eigenvalues below 0.
+STATE_TOL = 1e-10
 
 
-def _density_eig(rho: np.ndarray, trace_tol: float = 1e-10, neg_tol: float = 1e-10):
+def _density_eig(rho: np.ndarray):
     dec = eigendecompose(rho)
     tr = dec.eigenvalues.sum()
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise InvalidState(f"trace {tr} is not 1")
-    if dec.eigenvalues.min() < -neg_tol:
+    if dec.eigenvalues.min() < -STATE_TOL:
         raise InvalidState(f"negative eigenvalue {dec.eigenvalues.min():.3e}")
     return dec
 
@@ -48,24 +51,37 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
-def relative_entropy_vn(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr(rho (ln rho - ln sigma)); +inf when supp(rho) is not in supp(sigma)."""
+def _pair_spectrum(rho: np.ndarray, sigma: np.ndarray):
+    """The spectra of rho and sigma that both relative entropies trace over.
+
+    Returns (lam, mu, kernel, overlap, escapes): the clipped eigenvalues of
+    rho and sigma, the mask of sigma's kernel, |<r_i|s_j>|^2, and whether
+    rho puts more than KERNEL_MASS_TOL on sigma's kernel.
+    """
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"{rho.shape} vs {sigma.shape}")
     dr = _density_eig(rho)
     ds = _density_eig(sigma)
+    lam = np.clip(dr.eigenvalues, 0.0, None)
     mu = np.clip(ds.eigenvalues, 0.0, None)
     kernel = mu <= SUPPORT_EPS
+    escapes = False
     if kernel.any():
         vk = ds.eigenvectors[:, kernel]
         mass = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho, vk)))
-        if mass > KERNEL_MASS_TOL:
-            return float("inf")
-    lam = np.clip(dr.eigenvalues, 0.0, None)
+        escapes = mass > KERNEL_MASS_TOL
+    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    return lam, mu, kernel, overlap, escapes
+
+
+def relative_entropy_vn(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Tr(rho (ln rho - ln sigma)); +inf when supp(rho) is not in supp(sigma)."""
+    lam, mu, kernel, overlap, escapes = _pair_spectrum(rho, sigma)
+    if escapes:
+        return float("inf")
     pos = lam > 0.0
     s_rho = float((lam[pos] * np.log(lam[pos])).sum())
     # Tr(rho ln sigma) on sigma's support; rho has negligible kernel mass.
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
     lnmu = np.zeros_like(mu)
     lnmu[~kernel] = np.log(mu[~kernel])
     cross = float(lam @ overlap @ lnmu)
@@ -73,22 +89,12 @@ def relative_entropy_vn(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
-    """S_q = (1 - Tr(rho^q sigma^{1-q}))/(1-q) for q > 0, q != 1."""
-    if q <= 0.0 or q == 1.0:
-        raise UnsupportedQ(f"q must be positive and != 1, got {q}")
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"{rho.shape} vs {sigma.shape}")
-    dr = _density_eig(rho)
-    ds = _density_eig(sigma)
-    lam = np.clip(dr.eigenvalues, 0.0, None)
-    mu = np.clip(ds.eigenvalues, 0.0, None)
-    kernel = mu <= SUPPORT_EPS
-    if q > 1.0 and kernel.any():
-        vk = ds.eigenvectors[:, kernel]
-        mass = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho, vk)))
-        if mass > KERNEL_MASS_TOL:
-            return float("inf")
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    """S_q = (1 - Tr(rho^q sigma^{1-q}))/(1-q) for 0 < q < inf, q != 1."""
+    if not 0.0 < q < float("inf") or q == 1.0:
+        raise UnsupportedQ(f"q must be positive, finite and != 1, got {q}")
+    lam, mu, kernel, overlap, escapes = _pair_spectrum(rho, sigma)
+    if q > 1.0 and escapes:
+        return float("inf")
     # sigma^{1-q} evaluated on sigma's support only.
     mu_pow = np.zeros_like(mu)
     mu_pow[~kernel] = mu[~kernel] ** (1.0 - q)

@@ -5,11 +5,11 @@ Everything here recomputes the closed forms of the gaussian module by an
 independent route: truncated number-basis traces for partition functions,
 and deterministic quadrature of the position kernel for moments.  The
 traces in stable_partition use parity-split tridiagonal eigensolves of the
-exact ladder matrix elements; the explicit ladder-operator matrices and
-their dense eigendecompositions remain for the other checks.  scipy.linalg
-is imported inside the functions that call it, so that importing the
-package (and running the grid CLI) loads numpy only.  The kernel
-convention is rho(x, y) = <x|rho|y> with
+exact ladder matrix elements (scipy.linalg.eigvalsh_tridiagonal, imported
+on first use, so that importing the package loads numpy only); the
+explicit ladder-operator matrices and their dense numpy.linalg
+eigendecompositions remain for the other checks.  The kernel convention is
+rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -77,11 +77,9 @@ def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
     Returns (value, last_level_contribution); the second entry is the
     truncation-error estimate.
     """
-    import scipy.linalg
-
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    w = np.sort(scipy.linalg.eigvalsh(hm))
+    w = np.linalg.eigvalsh(hm)
     terms = np.exp(-beta * w)
     return float(terms.sum()), float(terms[-1])
 
@@ -163,9 +161,7 @@ def stable_partition(h: QuadraticHamiltonian, beta: float, n_start: int = 200,
 
 def exponential_diagonal(hm: np.ndarray, beta: float) -> np.ndarray:
     """Diagonal of e^{-beta H} via dense eigendecomposition."""
-    import scipy.linalg
-
-    w, v = scipy.linalg.eigh(hm)
+    w, v = np.linalg.eigh(hm)
     return np.einsum("nk,k,nk->n", v, np.exp(-beta * w), v.conj()).real
 
 

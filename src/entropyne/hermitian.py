@@ -3,8 +3,7 @@
 Matrices are plain complex numpy arrays.  All spectral machinery (matrix
 functions, thermal states) is eigendecomposition-backed; this module is the
 computational substrate for the entropy routines and the Fock-space oracle.
-scipy.linalg is imported on first use, inside eigendecompose, so that the
-closed forms and the grid CLI, which import this module, load numpy only.
+Every solve is numpy.linalg.eigh, so this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -46,45 +45,24 @@ class SpectralDecomposition:
 
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
-    import scipy.linalg
-
     m = check_hermitian(m)
     try:
-        w, v = scipy.linalg.eigh(m)
-    except scipy.linalg.LinAlgError as exc:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def matrix_function(
-    m: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    support_policy: str = "strict",
-    support_eps: float = 1e-14,
-) -> np.ndarray:
+def matrix_function(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate f spectrally: V diag(f(lambda)) V†.
 
-    support_policy:
-        "strict"  -- f must be defined on every eigenvalue; a non-finite
-                     f(lambda) raises DomainError.
-        "project" -- eigenvalues with |lambda| <= support_eps are projected
-                     out (their rows/columns map to zero); f is only applied
-                     on the remaining support.
+    f must be finite on every eigenvalue; otherwise DomainError is raised.
     """
-    if support_policy not in ("strict", "project"):
-        raise ValueError(f"unknown support_policy {support_policy!r}")
     dec = eigendecompose(m)
-    w = dec.eigenvalues
-    if support_policy == "project":
-        keep = np.abs(w) > support_eps
-        fw = np.zeros_like(w)
-        with np.errstate(all="ignore"):
-            fw[keep] = f(w[keep])
-    else:
-        with np.errstate(all="ignore"):
-            fw = np.asarray(f(w), dtype=float)
+    with np.errstate(all="ignore"):
+        fw = np.asarray(f(dec.eigenvalues), dtype=float)
     if not np.all(np.isfinite(fw)):
-        raise DomainError("f is not finite on the spectrum under the strict policy")
+        raise DomainError("f is not finite on the spectrum")
     v = dec.eigenvectors
     out = (v * fw) @ v.conj().T
     return 0.5 * (out + out.conj().T)

@@ -92,38 +92,39 @@ print(json.dumps(seen))
 
 
 def test_grid_subcommands_do_not_load_scipy(tmp_path):
-    # The closed forms need numpy only; scipy loads on first use by the
-    # Fock oracle.  The oracle run last is the positive control: the probe
-    # sees scipy once something imports it.
+    # The closed forms and the dense layer behind tsallis need numpy only;
+    # scipy loads on first use by the Fock oracle.  The oracle run last is
+    # the positive control: the probe sees scipy once something imports it.
     gaussian_z = ["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "1"]
+    rho, sigma = write_state_pair(tmp_path)
     steps = [QUBIT_ARGS + ["--output", str(tmp_path / "qubit.csv")],
              ["amplifier-grid", "--temp", "0.5:5:6", "--nbar", "0.5:4:5",
               "--format", "json", "--output", str(tmp_path / "amp.json")],
              gaussian_z,
+             ["tsallis", "--rho-file", rho, "--sigma-file", sigma, "--q", "2"],
              gaussian_z + ["--oracle", "300"]]
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
                          capture_output=True, text=True, check=True)
-    assert json.loads(res.stdout.splitlines()[-1]) == [False, False, False, False, True]
+    assert json.loads(res.stdout.splitlines()[-1]) == [False] * 5 + [True]
+
+
+def write_state_pair(tmp_path, rho=np.diag([0.7, 0.3]), sigma=np.diag([0.5, 0.5])):
+    paths = (str(tmp_path / "rho.txt"), str(tmp_path / "sigma.txt"))
+    for path, m in zip(paths, (rho, sigma)):
+        write_matrix(path, np.asarray(m, dtype=complex))
+    return paths
 
 
 def test_tsallis_q_value(tmp_path, capsys):
-    rho = tmp_path / "rho.txt"
-    sigma = tmp_path / "sigma.txt"
-    write_matrix(rho, np.diag([0.7, 0.3]).astype(complex))
-    write_matrix(sigma, np.diag([0.5, 0.5]).astype(complex))
-    assert main(["tsallis", "--rho-file", str(rho), "--sigma-file", str(sigma),
-                 "--q", "2"]) == 0
+    rho, sigma = write_state_pair(tmp_path)
+    assert main(["tsallis", "--rho-file", rho, "--sigma-file", sigma, "--q", "2"]) == 0
     out = capsys.readouterr().out
     assert abs(float(out.splitlines()[0].split("=")[1]) - 0.16) <= 1e-12
 
 
 def test_tsallis_support_mismatch_reports_inf(tmp_path, capsys):
-    rho = tmp_path / "rho.txt"
-    sigma = tmp_path / "sigma.txt"
-    write_matrix(rho, np.diag([1.0, 0.0]).astype(complex))
-    write_matrix(sigma, np.diag([0.0, 1.0]).astype(complex))
-    assert main(["tsallis", "--rho-file", str(rho), "--sigma-file", str(sigma),
-                 "--q", "2"]) == 0
+    rho, sigma = write_state_pair(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert main(["tsallis", "--rho-file", rho, "--sigma-file", sigma, "--q", "2"]) == 0
     out = capsys.readouterr().out
     assert "S_q=inf" in out
     assert "support" in out
@@ -143,11 +144,34 @@ def test_tsallis_series_slope(tmp_path, capsys):
     assert abs(float(slope.split("=")[1]) - 3.0) <= 0.3
 
 
-def test_usage_errors_exit_2():
+def test_tsallis_series_equal_states_prints_no_slope(tmp_path, capsys):
+    # rho = sigma: the series is 0 and S is 0 at some deltas, so a zero
+    # residual leaves no power law to fit (log 0 would warn and print nan).
+    rho, _ = write_state_pair(tmp_path)
+    assert main(["tsallis", "--rho-file", rho, "--sigma-file", rho,
+                 "--delta-series"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "order0=0"
+    assert len(lines) == 3 + 4
+    assert not any(ln.startswith("residual_slope=") for ln in lines)
+    assert captured.err == ""
+
+
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["qubit-grid", "--p-norm", "0.5"]) == 2  # missing required flags
     assert main(QUBIT_ARGS[:-2] + ["--temp", "-1:1:5"]) == 2  # mixed-sign T
     assert main(["tsallis", "--rho-file", "/nonexistent", "--sigma-file",
                  "/nonexistent", "--q", "2"]) == 2
+    rho, sigma = write_state_pair(tmp_path)
+    for deltas in ("0.1,abc", "0.1,-0.1", "nan,0.1", "0.1,inf", "0"):
+        capsys.readouterr()
+        assert main(["tsallis", "--rho-file", rho, "--sigma-file", sigma,
+                     f"--delta-series={deltas}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --delta-series")
+        assert captured.err.count("\n") == 1
 
 
 def test_domain_errors_exit_3():

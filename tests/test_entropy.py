@@ -73,7 +73,7 @@ def test_tsallis_support_mismatch_is_inf():
     assert tsallis_relative_entropy(rho, sigma, 2.0) == float("inf")
 
 
-@pytest.mark.parametrize("q", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("q", [0.0, -1.0, 1.0, float("nan"), float("inf")])
 def test_tsallis_rejects_bad_q(q):
     with pytest.raises(UnsupportedQ):
         tsallis_relative_entropy(DIAG_RHO, DIAG_SIGMA, q)
