@@ -4,12 +4,13 @@ quadrature moments of Gaussian kernels.
 Everything here recomputes the closed forms of the gaussian module by an
 independent route: truncated number-basis traces for partition functions,
 and deterministic quadrature of the position kernel for moments.  The
-traces in stable_partition use parity-split tridiagonal eigensolves of the
-exact ladder matrix elements (scipy.linalg.eigvalsh_tridiagonal, imported
-on first use, so that importing the package loads numpy only); the
-explicit ladder-operator matrices and their dense numpy.linalg
-eigendecompositions remain for the other checks.  The kernel convention is
-rho(x, y) = <x|rho|y> with
+traces in stable_partition split the exact ladder matrix elements by
+parity into two real symmetric tridiagonal blocks, solved with
+numpy.linalg.eigvalsh, from N_START = 32 levels up in steps of N_STEP = 16:
+the few levels that carry e^{-beta lambda} above 1e-12 of Z are already
+exact in small blocks.  The explicit ladder-operator matrices and their
+dense eigendecompositions remain for the other checks.  The kernel
+convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -25,6 +26,12 @@ import numpy as np
 from .errors import QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
 from .hermitian import check_hermitian
+
+# Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...; its
+# n_cap may not exceed N_CAP_MAX, since each solve is a dense parity block.
+N_START = 32
+N_STEP = 16
+N_CAP_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
 
 
 def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
-    """Sorted spectrum of H on the lowest n_max levels of the matched basis.
+    """Sorted spectrum of H on the lowest n_max (even) levels of the matched basis.
 
     The spectrum does not depend on the basis scale, so the number basis of
     frequency w = sqrt(omega3/omega1) is used: it minimizes the squeezing
@@ -96,44 +103,50 @@ def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
         c = (omega3/w - omega1 w)/2 + i Re omega2,
 
     so H couples |n> only to |n +- 2>: the even-n and odd-n levels form two
-    Hermitian tridiagonal blocks.  A diagonal phase gauge makes their
-    off-diagonals |c| sqrt((n+1)(n+2)), and each block is solved by a
-    real symmetric tridiagonal eigensolve.
+    Hermitian tridiagonal blocks of n_max/2 rows.  A diagonal phase gauge
+    makes their off-diagonals |c| sqrt((n+1)(n+2)).  Both blocks go to one
+    stacked numpy.linalg.eigvalsh call as small dense real symmetric
+    matrices; eigvalsh reads only the lower triangle, so only the diagonal
+    and the subdiagonal are filled.
     """
-    import scipy.linalg
-
     w = np.sqrt(h.omega3 / h.omega1)
     n = np.arange(n_max, dtype=float)
     diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
     c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
     off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    blocks = [scipy.linalg.eigvalsh_tridiagonal(diag[parity::2], off[parity::2])
-              for parity in (0, 1)]
-    return np.sort(np.concatenate(blocks))
+    m = n_max // 2
+    # Row p of diag.reshape(m, 2).T holds the levels of parity p.
+    blocks = np.zeros((2, m * m))
+    blocks[:, ::m + 1] = diag.reshape(m, 2).T
+    blocks[:, m::m + 1] = off.reshape(m - 1, 2).T
+    return np.sort(np.linalg.eigvalsh(blocks.reshape(2, m, m)), axis=None)
 
 
-def stable_partition(h: QuadraticHamiltonian, beta: float, n_start: int = 200,
-                     n_step: int = 50, n_cap: int = 500) -> float:
-    """Truncated trace grown until the n -> n + n_step relative change < 1e-10.
+def stable_partition(h: QuadraticHamiltonian, beta: float,
+                     n_cap: int = 500) -> float:
+    """Truncated trace grown by N_STEP from N_START until it changes by < 1e-10.
 
     Each trace keeps only the eigenvalues that agree between two truncation
     sizes: a truncated basis carries a handful of spurious edge levels that
     drift with the basis size, while the genuine low-lying spectrum is
     frozen.  Each size's spectrum is computed once and reused as the lower
-    size of the next step.
+    size of the next step.  n_cap, the largest lower size of a step, lies
+    in [N_START, N_CAP_MAX]: the blocks are dense, so memory grows as n_cap^2.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    if not N_START <= n_cap <= N_CAP_MAX:
+        raise ValueError(f"n_cap must be in [{N_START}, {N_CAP_MAX}], got {n_cap}")
     if h.omega1 * h.omega3 <= 0.0:
         raise ValueError(
             f"no matched number basis for {h}: omega1*omega3 must be positive"
         )
-    n = n_start
+    n = N_START
     z_prev = None
     w_hi = _matched_basis_spectrum(h, n)
     while n <= n_cap:
-        w_lo, w_hi = w_hi, _matched_basis_spectrum(h, n + n_step)
-        n += n_step
+        w_lo, w_hi = w_hi, _matched_basis_spectrum(h, n + N_STEP)
+        n += N_STEP
         idx = np.searchsorted(w_hi, w_lo)
         idx_lo = np.clip(idx - 1, 0, len(w_hi) - 1)
         idx_hi = np.clip(idx, 0, len(w_hi) - 1)

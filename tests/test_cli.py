@@ -75,26 +75,33 @@ def test_gaussian_z_output(capsys):
     assert float(rel.split("=")[1]) <= 1e-8
 
 
-# Runs CLI argv lists (given as JSON in argv[1]) after `import entropyne` and
+# Runs the steps given as JSON in argv[1] after `import entropyne` and
 # prints, as a JSON list, whether scipy was in sys.modules after the import
-# and after each command.
+# and after each step.  A step is a CLI argv list, or the string
+# "refine_zero_temperature" for one call of that verify helper.
 SCIPY_PROBE = """
-import json, sys
+import json, math, sys
+import numpy as np
 import entropyne
+from entropyne import qubit, verify
 from entropyne.cli import main
 seen = ["scipy" in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    if main(argv) != 0:
-        sys.exit(f"{argv} failed")
+for step in json.loads(sys.argv[1]):
+    if step == "refine_zero_temperature":
+        ham = qubit.BlochHamiltonian(h0=0.0, h=np.array([0.0, 0.0, math.sqrt(14.0)]))
+        verify.refine_zero_temperature(0.99, ham, math.pi, 0.5, 1.0)
+    elif main(step) != 0:
+        sys.exit(f"{step} failed")
     seen.append("scipy" in sys.modules)
 print(json.dumps(seen))
 """
 
 
 def test_grid_subcommands_do_not_load_scipy(tmp_path):
-    # The closed forms and the dense layer behind tsallis need numpy only;
-    # scipy loads on first use by the Fock oracle.  The oracle run last is
-    # the positive control: the probe sees scipy once something imports it.
+    # The closed forms, the dense layer behind tsallis and the Fock oracle
+    # need numpy only; scipy loads on first use by verify's zero-temperature
+    # refinement.  That step, run last, is the positive control: the probe
+    # sees scipy once something imports it.
     gaussian_z = ["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "1"]
     rho, sigma = write_state_pair(tmp_path)
     steps = [QUBIT_ARGS + ["--output", str(tmp_path / "qubit.csv")],
@@ -102,10 +109,11 @@ def test_grid_subcommands_do_not_load_scipy(tmp_path):
               "--format", "json", "--output", str(tmp_path / "amp.json")],
              gaussian_z,
              ["tsallis", "--rho-file", rho, "--sigma-file", sigma, "--q", "2"],
-             gaussian_z + ["--oracle", "300"]]
+             gaussian_z + ["--oracle", "300"],
+             "refine_zero_temperature"]
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
                          capture_output=True, text=True, check=True)
-    assert json.loads(res.stdout.splitlines()[-1]) == [False] * 5 + [True]
+    assert json.loads(res.stdout.splitlines()[-1]) == [False] * 6 + [True]
 
 
 def write_state_pair(tmp_path, rho=np.diag([0.7, 0.3]), sigma=np.diag([0.5, 0.5])):
@@ -171,6 +179,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --delta-series")
+        assert captured.err.count("\n") == 1
+    # The range is checked before any output or solve, so a huge N allocates
+    # nothing.
+    for n in ("-1", "1", "31", "1001", "1000000000"):
+        assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                     "--beta", "1", "--oracle", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --oracle")
         assert captured.err.count("\n") == 1
 
 

@@ -163,7 +163,9 @@ def test_dense_matrix_has_no_cross_parity_coupling(h):
     assert np.abs(hm[cross]).max() == 0.0
 
 
-def test_stable_partition_solves_each_size_once(monkeypatch):
+@pytest.fixture
+def solved_sizes(monkeypatch):
+    """The truncation sizes that stable_partition solves, in call order."""
     sizes = []
     spectrum = fock._matched_basis_spectrum
 
@@ -172,8 +174,35 @@ def test_stable_partition_solves_each_size_once(monkeypatch):
         return spectrum(h, n_max)
 
     monkeypatch.setattr(fock, "_matched_basis_spectrum", counting)
+    return sizes
+
+
+def test_stable_partition_solves_each_size_once(solved_sizes):
     stable_partition(random_quadratic_hamiltonian(2024), 1.0)
-    assert sizes == [200, 250, 300]
+    assert solved_sizes == [32, 48, 64, 80]
+
+
+# The forms of test_stable_partition_matches_closed_form, then the 50 forms
+# of `entropyne verify`'s partition-oracle family at its default seed 2024.
+WORK_CASES = ([(seed, 0.5 + seed * 0.3) for seed in range(6)]
+              + [(2024 + i, 0.5 + (i % 5) * 0.5) for i in range(50)])
+
+
+def test_stable_partition_work_is_pinned(solved_sizes):
+    # The levels that matter are exact in small blocks, so no solve needs
+    # more than 200 levels and the trace still meets the closed form to 1e-13.
+    for seed, beta in WORK_CASES:
+        h = random_quadratic_hamiltonian(seed)
+        closed = partition_function(h, beta)
+        assert abs(stable_partition(h, beta) - closed) <= 1e-13 * closed
+    assert max(solved_sizes) <= 200
+
+
+@pytest.mark.parametrize("n_cap", [-1, 0, 31, 1001])
+def test_stable_partition_rejects_cap_out_of_range(n_cap, monkeypatch):
+    monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
+    with pytest.raises(ValueError, match="n_cap must be in \\[32, 1000\\]"):
+        stable_partition(oscillator(1.0), 1.0, n_cap=n_cap)
 
 
 @pytest.mark.parametrize("omega1, omega3", [(0.5, -0.5), (-0.5, 0.5), (0.0, 0.5)])
