@@ -112,8 +112,8 @@ def cmd_amplifier_grid(args) -> int:
 
 
 def cmd_gaussian_z(args) -> int:
-    if args.oracle and not fock.N_START <= args.oracle <= fock.N_CAP_MAX:
-        raise UsageError(f"--oracle must be 0 or in [{fock.N_START}, "
+    if args.oracle and not fock.N_CAP_MIN <= args.oracle <= fock.N_CAP_MAX:
+        raise UsageError(f"--oracle must be 0 or in [{fock.N_CAP_MIN}, "
                          f"{fock.N_CAP_MAX}], got {args.oracle}")
     h = gaussian.QuadraticHamiltonian(
         omega0=args.omega0, omega1=args.omega1,
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--oracle", type=int, default=0,
                    help="cross-check against the truncated trace up to this basis "
-                        f"size, {fock.N_START}..{fock.N_CAP_MAX} (default 0: none)")
+                        f"size, {fock.N_CAP_MIN}..{fock.N_CAP_MAX} (default 0: none)")
     p.set_defaults(func=cmd_gaussian_z)
 
     p = sub.add_parser("tsallis", help="deformed relative entropy of two matrix files")

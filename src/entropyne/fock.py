@@ -6,10 +6,13 @@ independent route: truncated number-basis traces for partition functions,
 and deterministic quadrature of the position kernel for moments.  The
 traces in stable_partition split the exact ladder matrix elements by
 parity into two real symmetric tridiagonal blocks, solved with
-numpy.linalg.eigvalsh, from N_START = 32 levels up in steps of N_STEP = 16:
-the few levels that carry e^{-beta lambda} above 1e-12 of Z are already
-exact in small blocks.  The explicit ladder-operator matrices and their
-dense eigendecompositions remain for the other checks.  The kernel
+numpy.linalg.eigvalsh, from N_START = 112 levels up in steps of N_STEP = 16.
+The levels that carry e^{-beta lambda} above 1e-12 of Z are exact in such
+blocks: every form with beta * omega_eff >= 0.8 and |Re omega2| <= 0.6
+sqrt(omega1 omega3) settles at the first three sizes, so a trace of such a
+form costs the same whichever it is; hotter or more squeezed forms grow
+further.  The explicit ladder-operator matrices and their dense
+eigendecompositions remain for the other checks.  The kernel
 convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
@@ -27,10 +30,13 @@ from .errors import QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
 from .hermitian import check_hermitian
 
-# Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...; its
-# n_cap may not exceed N_CAP_MAX, since each solve is a dense parity block.
-N_START = 32
+# Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...  Its
+# n_cap is at least N_CAP_MIN, the lower size of the second step (the first
+# step that can converge), and at most N_CAP_MAX, since each solve is a
+# dense parity block.
+N_START = 112
 N_STEP = 16
+N_CAP_MIN = N_START + N_STEP
 N_CAP_MAX = 1000
 
 
@@ -131,12 +137,13 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
     drift with the basis size, while the genuine low-lying spectrum is
     frozen.  Each size's spectrum is computed once and reused as the lower
     size of the next step.  n_cap, the largest lower size of a step, lies
-    in [N_START, N_CAP_MAX]: the blocks are dense, so memory grows as n_cap^2.
+    in [N_CAP_MIN, N_CAP_MAX]: convergence compares the sums of two steps,
+    and the blocks are dense, so memory grows as n_cap^2.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if not N_START <= n_cap <= N_CAP_MAX:
-        raise ValueError(f"n_cap must be in [{N_START}, {N_CAP_MAX}], got {n_cap}")
+    if not N_CAP_MIN <= n_cap <= N_CAP_MAX:
+        raise ValueError(f"n_cap must be in [{N_CAP_MIN}, {N_CAP_MAX}], got {n_cap}")
     if h.omega1 * h.omega3 <= 0.0:
         raise ValueError(
             f"no matched number basis for {h}: omega1*omega3 must be positive"

@@ -75,6 +75,17 @@ def test_gaussian_z_output(capsys):
     assert float(rel.split("=")[1]) <= 1e-8
 
 
+
+def test_gaussian_z_oracle_at_smallest_cap(capsys):
+    # The smallest accepted cap still allows the two steps that convergence
+    # compares.
+    assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                 "--beta", "1", "--oracle", "128"]) == 0
+    out = capsys.readouterr().out
+    rel = [ln for ln in out.splitlines() if ln.startswith("oracle_rel_diff=")][0]
+    assert float(rel.split("=")[1]) <= 1e-8
+
+
 # Runs the steps given as JSON in argv[1] after `import entropyne` and
 # prints, as a JSON list, whether scipy was in sys.modules after the import
 # and after each step.  A step is a CLI argv list, or the string
@@ -182,7 +193,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert captured.err.count("\n") == 1
     # The range is checked before any output or solve, so a huge N allocates
     # nothing.
-    for n in ("-1", "1", "31", "1001", "1000000000"):
+    for n in ("-1", "1", "31", "127", "1001", "1000000000"):
         assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
                      "--beta", "1", "--oracle", n]) == 2
         captured = capsys.readouterr()

@@ -179,7 +179,7 @@ def solved_sizes(monkeypatch):
 
 def test_stable_partition_solves_each_size_once(solved_sizes):
     stable_partition(random_quadratic_hamiltonian(2024), 1.0)
-    assert solved_sizes == [32, 48, 64, 80]
+    assert solved_sizes == [112, 128, 144]
 
 
 # The forms of test_stable_partition_matches_closed_form, then the 50 forms
@@ -198,10 +198,30 @@ def test_stable_partition_work_is_pinned(solved_sizes):
     assert max(solved_sizes) <= 200
 
 
-@pytest.mark.parametrize("n_cap", [-1, 0, 31, 1001])
+def test_stable_partition_work_does_not_depend_on_form(solved_sizes):
+    # With |Re w2| <= 0.6 sqrt(w1 w3), as these forms have, and
+    # beta * omega_eff >= 0.8, every trace settles at the first three sizes.
+    cases = [(random_quadratic_hamiltonian(seed), beta) for seed, beta in WORK_CASES]
+    cases = [(h, beta) for h, beta in cases if beta * h.effective_frequency >= 0.8]
+    assert len(cases) >= 40
+    for h, beta in cases:
+        solved_sizes.clear()
+        stable_partition(h, beta)
+        assert solved_sizes == [fock.N_START, fock.N_START + fock.N_STEP,
+                                fock.N_START + 2 * fock.N_STEP]
+
+
+def test_stable_partition_converges_at_smallest_cap():
+    h = random_quadratic_hamiltonian(2024)
+    closed = partition_function(h, 1.0)
+    z = stable_partition(h, 1.0, n_cap=fock.N_CAP_MIN)
+    assert abs(z - closed) <= 1e-13 * closed
+
+
+@pytest.mark.parametrize("n_cap", [-1, 0, 31, 112, 127, 1001])
 def test_stable_partition_rejects_cap_out_of_range(n_cap, monkeypatch):
     monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
-    with pytest.raises(ValueError, match="n_cap must be in \\[32, 1000\\]"):
+    with pytest.raises(ValueError, match="n_cap must be in \\[128, 1000\\]"):
         stable_partition(oscillator(1.0), 1.0, n_cap=n_cap)
 
 
