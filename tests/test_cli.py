@@ -65,25 +65,17 @@ def test_amplifier_grid_markers_and_nulls(tmp_path):
 
 
 def test_gaussian_z_output(capsys):
-    assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
-                 "--beta", "1", "--oracle", "300"]) == 0
-    out = capsys.readouterr().out
-    z_line = [ln for ln in out.splitlines() if ln.startswith("Z=")][0]
-    exact = math.exp(-0.5) / (1.0 - math.exp(-1.0))
-    assert abs(float(z_line.split("=")[1]) - exact) <= 1e-12
-    rel = [ln for ln in out.splitlines() if ln.startswith("oracle_rel_diff=")][0]
-    assert float(rel.split("=")[1]) <= 1e-8
-
-
-
-def test_gaussian_z_oracle_at_smallest_cap(capsys):
-    # The smallest accepted cap still allows the two steps that convergence
-    # compares.
-    assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
-                 "--beta", "1", "--oracle", "128"]) == 0
-    out = capsys.readouterr().out
-    rel = [ln for ln in out.splitlines() if ln.startswith("oracle_rel_diff=")][0]
-    assert float(rel.split("=")[1]) <= 1e-8
+    # 128 is the smallest accepted cap: it still allows the two steps that
+    # the oracle's convergence test compares.
+    for cap in ("300", "128"):
+        assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                     "--beta", "1", "--oracle", cap]) == 0
+        out = capsys.readouterr().out
+        z_line = [ln for ln in out.splitlines() if ln.startswith("Z=")][0]
+        exact = math.exp(-0.5) / (1.0 - math.exp(-1.0))
+        assert abs(float(z_line.split("=")[1]) - exact) <= 1e-12
+        rel = [ln for ln in out.splitlines() if ln.startswith("oracle_rel_diff=")][0]
+        assert float(rel.split("=")[1]) <= 1e-8
 
 
 # Runs the steps given as JSON in argv[1] after `import entropyne` and
