@@ -12,7 +12,7 @@ Hamiltonians handled through their hyperbolic normal form), with an
 independent truncated number-basis / quadrature verification layer.
 
 Environment:
-    ENTROPYNE_THREADS  default thread count for CLI grid sweeps
+    ENTROPYNE_THREADS  default for the grid subcommands' --threads; accepted, does nothing
 """
 
 __version__ = "0.1.0"

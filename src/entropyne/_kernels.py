@@ -10,6 +10,8 @@ convergent form is an oscillator of frequency `effective_frequency` plus
 the constant Im(w2), so its ln Z is finite at every beta > 0 and does not
 depend on w0.  `su11_pieces` is the paper's su(1,1) disentangling, which
 the su(1,1) coefficients and the Fock diagonal elements read.
+`argmin_rounds` is the package's one minimizer, run on these kernels by
+`amplifier.delta_argmin_temperature` and `verify.refine_zero_temperature`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DivergentPartition
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
@@ -26,6 +30,9 @@ _FORM_RTOL = 4.0 * np.finfo(np.float64).eps
 # sinh(40)^2 > 1e34, so capping changes no `xi < 1` decision, and it keeps
 # sinh^2 and its product with r^2 - 1 finite.
 _PHI_CAP = 40.0
+# Where argmin_rounds samples its bracket, as fractions of it; each round
+# keeps two of the 256 steps, so the bracket shrinks 128x.
+_ROUND_FRACTIONS = np.linspace(0.0, 1.0, 257)
 
 
 def _qubit_entropy(p_norm: float) -> float:
@@ -123,3 +130,26 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
         np.subtract(energy, out, out=out)
         out += (t * lnz)[:, None]
     return out
+
+
+def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:
+    """Minimizer of a unimodal f, which maps an array of points to their values, on [a, b].
+
+    Each round samples the bracket in one call of f and keeps the two
+    neighbours of the smallest sample, until b - a <= rel_tol max(min(|a|,
+    |b|), 1e-12) or the bracket stops shrinking (a and b adjacent floats).
+    Returns its midpoint; raises DivergentPartition at a NaN sample.
+    """
+    if not a < b:  # also false for NaN
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    while b - a > rel_tol * max(min(abs(a), abs(b)), 1e-12):
+        xs = a + (b - a) * _ROUND_FRACTIONS
+        ys = f(xs)
+        i = int(np.argmin(ys))  # the first NaN if there is one
+        if math.isnan(ys[i]):
+            raise DivergentPartition(f"NaN at a sample in [{a}, {b}]")
+        a_next, b_next = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if b_next - a_next >= b - a:
+            break
+        a, b = float(a_next), float(b_next)
+    return 0.5 * (a + b)

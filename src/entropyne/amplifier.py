@@ -5,8 +5,8 @@ is frozen at a caller-supplied time t and mapped to quadratic-form
 coefficients; the probe state is thermal light of mean photon number nbar.
 The (T, nbar) surface of the distance parameter has its per-nbar minimum at
 the temperature where the thermal state of the amplifier matches the probe
-entropy.  The surface and the minimizer both evaluate the distance with the
-grid kernel `_kernels.amplifier_delta_cells`.
+entropy.  The surface and the minimizer (by `_kernels.argmin_rounds`, the
+package's one) both evaluate the distance with `_kernels.amplifier_delta_cells`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from . import _kernels
 from .errors import BracketError, DivergentPartition, DomainError, NumericalFailure
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
-
-# Where delta_argmin_temperature samples its bracket, as fractions of it;
-# each round keeps two of the 256 steps, so the bracket shrinks 128x.
-_ARGMIN_FRACTIONS = np.linspace(0.0, 1.0, 257)
 
 
 @dataclass(frozen=True)
@@ -174,12 +170,10 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
 def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
                              bracket: tuple[float, float],
                              rel_tol: float = 1e-6) -> float:
-    """Minimizer of T -> distance(T, nbar) on the bracket by sampling rounds.
+    """Minimizer of T -> distance(T, nbar) on the bracket, by `_kernels.argmin_rounds`.
 
-    Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), so each round
-    samples the bracket in one kernel call and keeps the two neighbours of
-    the smallest sample, until b - a <= rel_tol max(a, 1e-12) or the bracket
-    stops shrinking.
+    Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), so sampling
+    rounds of the kernel narrow the bracket to b - a <= rel_tol a.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:  # also false for NaN
@@ -192,19 +186,10 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         raise DomainError("nbar must be positive")
     _require_convergent(cfg)
     h = amplifier_hamiltonian(cfg)
-    form = (h.k0_coefficient, h.effective_frequency, h.omega2.imag)
-    a, b = lo, hi
-    while b - a > rel_tol * max(a, 1e-12):
-        temps = a + (b - a) * _ARGMIN_FRACTIONS
-        delta = _kernels.amplifier_delta_cells(temps, np.array([nbar]), *form)[:, 0]
-        i = int(np.argmin(delta))  # the first NaN if there is one
-        if math.isnan(delta[i]):
-            raise DivergentPartition(f"Delta is NaN at a sample of T in [{a}, {b}]")
-        a_next, b_next = temps[max(i - 1, 0)], temps[min(i + 1, len(temps) - 1)]
-        if b_next - a_next >= b - a:  # a and b are adjacent floats
-            break
-        a, b = float(a_next), float(b_next)
-    t_star = 0.5 * (a + b)
+    form = (np.array([nbar]), h.k0_coefficient, h.effective_frequency, h.omega2.imag)
+    # Looked up per call, so a replaced kernel (tracing, tests) is the one run.
+    t_star = _kernels.argmin_rounds(
+        lambda temps: _kernels.amplifier_delta_cells(temps, *form)[:, 0], lo, hi, rel_tol)
     edge = rel_tol * max(t_star, 1.0) * 4.0
     if t_star - lo < edge or hi - t_star < edge:
         raise BracketError("distance is monotone on the bracket (minimum at an end)")

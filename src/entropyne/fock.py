@@ -22,7 +22,7 @@ the assignment that reproduces the closed-form covariance entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,6 +38,12 @@ N_START = 112
 N_STEP = 16
 N_CAP_MIN = N_START + N_STEP
 N_CAP_MAX = 1000
+# kernel_moments' trapezoid rule: first node count, half-width in kernel
+# standard deviations, and the moment drift that ends its node doublings.
+MOMENT_NODES = 3201
+MOMENT_HALF_WIDTH_SIGMAS = 12.0
+MOMENT_STABILITY_TOL = 1e-10
+MOMENT_MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,7 @@ class KernelMoments:
     sigma_pq: float
 
 
-def kernel_moments(g: GaussianParams, nodes: int = 3201,
-                   half_width_sigmas: float = 12.0,
-                   stability_tol: float = 1e-10,
-                   max_doublings: int = 4) -> KernelMoments:
+def kernel_moments(g: GaussianParams) -> KernelMoments:
     """Quadrature moments of the kernel; the independent check of the closed forms.
 
     Position moments come from the diagonal kernel; momentum moments from
@@ -221,8 +224,8 @@ def kernel_moments(g: GaussianParams, nodes: int = 3201,
     """
     d = g.width
     center = g.b1.real / d
-    width = 1.0 / np.sqrt(2.0 * d)
-    lo, hi = center - half_width_sigmas * width, center + half_width_sigmas * width
+    half = MOMENT_HALF_WIDTH_SIGMAS * (1.0 / np.sqrt(2.0 * d))
+    lo, hi = center - half, center + half
 
     def evaluate(num_nodes: int) -> KernelMoments:
         x = np.linspace(lo, hi, num_nodes)
@@ -249,15 +252,11 @@ def kernel_moments(g: GaussianParams, nodes: int = 3201,
             sigma_pq=float(qp.real - mean_p * mean_q),
         )
 
-    previous = evaluate(nodes)
-    for _ in range(max_doublings):
-        nodes = 2 * nodes - 1
-        current = evaluate(nodes)
-        drift = max(
-            abs(getattr(current, f) - getattr(previous, f))
-            for f in ("norm", "mean_q", "mean_p", "sigma_qq", "sigma_pp", "sigma_pq")
-        )
-        if drift < stability_tol:
+    previous = evaluate(MOMENT_NODES)
+    for doubling in range(1, MOMENT_MAX_DOUBLINGS + 1):
+        current = evaluate((MOMENT_NODES - 1) * 2**doubling + 1)
+        drift = max(abs(x - y) for x, y in zip(astuple(current), astuple(previous)))
+        if drift < MOMENT_STABILITY_TOL:
             return current
         previous = current
-    raise QuadratureUnstable(f"moments not stable after {max_doublings} doublings")
+    raise QuadratureUnstable(f"moments not stable after {MOMENT_MAX_DOUBLINGS} doublings")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import amplifier, entropy, fock, gaussian, qubit
+from . import _kernels, amplifier, entropy, fock, gaussian, qubit
 from .hermitian import (
     eigendecompose,
     gibbs_state,
@@ -159,15 +159,12 @@ def refine_zero_temperature(p_norm: float, ham: qubit.BlochHamiltonian,
     """Temperature in [lo, hi] where |distance| attains its 0 extremum.
 
     Along theta = pi (T > 0) or theta = 0 (T < 0) the distance has a unique
-    sign-definite extremum of 0; minimizing |distance| locates it.
+    sign-definite extremum of 0 (dDelta/dT = S_Gibbs(T) - S), which
+    `_kernels.argmin_rounds` locates on |distance| from the grid kernel.
     """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda t: abs(qubit.qubit_delta_record(p_norm, theta, ham, t).delta),
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-10},
-    )
-    return float(res.x)
+    return _kernels.argmin_rounds(
+        lambda t: np.abs(_kernels.qubit_delta_cells(p_norm, ham.h0, ham.norm, [theta], t)[0]),
+        lo, hi, rel_tol=1e-10)
 
 
 def check_qubit_zero_locus(seed: int, quick: bool) -> FamilyResult:
@@ -274,20 +271,19 @@ def check_amplifier_k0(seed: int, quick: bool) -> FamilyResult:
 def check_thermal_light_fock(seed: int, quick: bool) -> FamilyResult:
     worst = 0.0
     n_max = 400
+    hm = fock.quadratic_hamiltonian_matrix(QUAD_OSC(1.0), fock.FockTruncation(n_max, 1.0))
     for nbar in (0.5, 1.0, 2.0):
         rho = fock.thermal_light_fock(nbar, n_max)
         trace = np.trace(rho).real
         expected_trace = 1.0 - (nbar / (1.0 + nbar)) ** n_max
         worst = max(worst, abs(trace - expected_trace) / 1e-12)
         probs = np.diag(rho).real
+        e = probs @ np.diag(hm).real  # rho is diagonal: Tr(rho H) = sum_n rho_nn H_nn
+        worst = max(worst, abs(e - (nbar + 0.5)) / 1e-8)
         probs = probs[probs > 0.0]
         s = float(-(probs * np.log(probs)).sum())
         s_exact = nbar * math.log((1.0 + nbar) / nbar) + math.log(1.0 + nbar)
         worst = max(worst, abs(s - s_exact) / 1e-8)
-        tr = fock.FockTruncation(n_max, 1.0)
-        hm = fock.quadratic_hamiltonian_matrix(QUAD_OSC(1.0), tr)
-        e = np.trace(rho @ hm).real
-        worst = max(worst, abs(e - (nbar + 0.5)) / 1e-8)
     return _result("thermal-light-fock", worst, 1.0)
 
 

@@ -81,18 +81,15 @@ def test_gaussian_z_output(capsys):
 # Runs the steps given as JSON in argv[1] after `import entropyne` and
 # prints, as a JSON list, whether scipy was in sys.modules after the import
 # and after each step.  A step is a CLI argv list, or the string
-# "refine_zero_temperature" for one call of that verify helper.
+# "import scipy" for that import in the probe itself.
 SCIPY_PROBE = """
-import json, math, sys
-import numpy as np
+import json, sys
 import entropyne
-from entropyne import qubit, verify
 from entropyne.cli import main
 seen = ["scipy" in sys.modules]
 for step in json.loads(sys.argv[1]):
-    if step == "refine_zero_temperature":
-        ham = qubit.BlochHamiltonian(h0=0.0, h=np.array([0.0, 0.0, math.sqrt(14.0)]))
-        verify.refine_zero_temperature(0.99, ham, math.pi, 0.5, 1.0)
+    if step == "import scipy":
+        import scipy
     elif main(step) != 0:
         sys.exit(f"{step} failed")
     seen.append("scipy" in sys.modules)
@@ -101,10 +98,10 @@ print(json.dumps(seen))
 
 
 def test_grid_subcommands_do_not_load_scipy(tmp_path):
-    # The closed forms, the dense layer behind tsallis and the Fock oracle
-    # need numpy only; scipy loads on first use by verify's zero-temperature
-    # refinement.  That step, run last, is the positive control: the probe
-    # sees scipy once something imports it.
+    # The closed forms, the dense layer behind tsallis, the Fock oracle and
+    # verify (whose zero-locus minimizer is the package's own) need numpy
+    # only.  The last step imports scipy in the probe itself: the positive
+    # control that the probe sees scipy once something imports it.
     gaussian_z = ["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "1"]
     rho, sigma = write_state_pair(tmp_path)
     steps = [QUBIT_ARGS + ["--output", str(tmp_path / "qubit.csv")],
@@ -113,10 +110,11 @@ def test_grid_subcommands_do_not_load_scipy(tmp_path):
              gaussian_z,
              ["tsallis", "--rho-file", rho, "--sigma-file", sigma, "--q", "2"],
              gaussian_z + ["--oracle", "300"],
-             "refine_zero_temperature"]
+             ["verify", "--quick"],
+             "import scipy"]
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
                          capture_output=True, text=True, check=True)
-    assert json.loads(res.stdout.splitlines()[-1]) == [False] * 6 + [True]
+    assert json.loads(res.stdout.splitlines()[-1]) == [False] * 7 + [True]
 
 
 def write_state_pair(tmp_path, rho=np.diag([0.7, 0.3]), sigma=np.diag([0.5, 0.5])):

@@ -245,3 +245,44 @@ def test_kernels_bit_identical_to_broadcast_expression():
                 assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
                                       equal_nan=True)
                 assert np.isnan(cells).all() == (h is NAMED_FORMS["negative-definite-half"])
+
+
+def counted(f, rounds):
+    def wrapper(xs):
+        rounds.append(xs)
+        return f(xs)
+    return wrapper
+
+
+def test_argmin_rounds_negative_bracket_stop_rule():
+    # b - a <= rel_tol min(|a|, |b|): 0.5 / 128^3 < 1e-6 * 0.5 after three
+    # rounds.  A rule on max(a, 1e-12) would run to 1e-12 absolute.
+    rounds = []
+    t = _kernels.argmin_rounds(counted(lambda xs: np.abs(xs + 0.7), rounds), -1.0, -0.5, 1e-6)
+    assert len(rounds) == 3
+    assert abs(t + 0.7) <= 1e-6 * 0.5
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (0.5, 0.5), (math.nan, 1.0), (0.5, math.nan)])
+def test_argmin_rounds_rejects_bad_bracket(a, b):
+    with pytest.raises(ValueError, match="a < b"):
+        _kernels.argmin_rounds(lambda xs: xs, a, b, 1e-6)
+
+
+@pytest.mark.parametrize("case", ["exact", "qubit"])
+def test_argmin_rounds_tiny_rel_tol_stops_at_adjacent_floats(case):
+    # rel_tol is far below one ulp, so only the bracket's stopping to shrink
+    # ends the rounds: the last round samples at most two adjacent floats.
+    if case == "exact":
+        f, expected, tol = (lambda xs: np.abs(xs + 0.7)), -0.7, np.spacing(0.7)
+    else:  # the T < 0 branch of the qubit zero locus, theta = 0
+        h_norm = math.sqrt(14.0)
+        f = lambda xs: np.abs(_kernels.qubit_delta_cells(0.99, 0.3, h_norm, np.zeros(1), xs)[0])
+        expected = -h_norm / (2.0 * math.atanh(0.99))
+        tol = 1e-5 * abs(expected)
+    rounds = []
+    t = _kernels.argmin_rounds(counted(f, rounds), -1.0, -0.5, 1e-300)
+    assert len(rounds) <= 12
+    assert len(np.unique(rounds[-1])) <= 2
+    assert np.ptp(rounds[-1]) <= np.spacing(abs(t))
+    assert abs(t - expected) <= tol

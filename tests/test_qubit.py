@@ -25,9 +25,15 @@ from entropyne import (
     qubit_observables,
     von_neumann_entropy,
 )
+from entropyne.verify import refine_zero_temperature
 
 H_NORM = math.sqrt(14.0)
 HAM_Z = BlochHamiltonian(h0=0.0, h=np.array([0.0, 0.0, H_NORM]))
+# The zero of the distance at T_eq is a double root (dDelta/dT = 0 there), so
+# the rounding noise of Delta's cancelling terms widens it into a plateau a
+# few 1e-6 T_eq wide at |p| = 0.01.  A minimizer of |Delta| lands somewhere
+# on it (at most 2.0e-6 relative on the cases below).
+ZERO_LOCUS_RTOL = 1e-5
 
 
 def test_density_from_bloch_examples():
@@ -172,3 +178,17 @@ def test_grid_constant_in_theta_at_p_zero():
     grid = qubit_delta_grid(0.0, HAM_Z, GridSpec(0.0, math.pi, 11),
                             GridSpec(0.5, 5.0, 6))
     assert np.allclose(grid.cells, grid.cells[0], atol=1e-14)
+
+
+@pytest.mark.parametrize("p_norm", [0.01, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("h_norm", [1.0, H_NORM])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_refine_zero_temperature_finds_equilibrium_temperature(p_norm, h_norm, sign):
+    # theta = pi for T > 0 and theta = 0 for T < 0; h0 != 0 shifts E and
+    # T ln Z by h0/2 each and leaves the zero where it is.
+    ham = BlochHamiltonian(h0=0.3, h=h_norm * np.array([1.0, 2.0, 2.0]) / 3.0)
+    t_eq = equilibrium_temperature(p_norm, h_norm, sign)
+    theta = math.pi if sign > 0 else 0.0
+    lo, hi = sorted((0.6 * t_eq, 1.7 * t_eq))
+    t_zero = refine_zero_temperature(p_norm, ham, theta, lo, hi)
+    assert abs(t_zero - t_eq) <= ZERO_LOCUS_RTOL * abs(t_eq)
