@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fock, gaussian, verify
+from . import __version__, entropy, fock, gaussian, verify
 from .amplifier import AmplifierConfig, amplifier_delta_surface
 from .errors import DomainError, EntropyneError
 from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec
@@ -146,8 +146,6 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def cmd_tsallis(args) -> int:
-    from . import entropy
-
     rho = _read_matrix(args.rho_file)
     sigma = _read_matrix(args.sigma_file)
     if args.q is not None:
@@ -164,20 +162,14 @@ def cmd_tsallis(args) -> int:
     if not all(0.0 < d < math.inf for d in deltas):
         raise UsageError(f"--delta-series: every delta must be finite and > 0, "
                          f"got {args.delta_series}")
-    series = entropy.tsallis_series(rho, sigma)
-    print(f"order0={fmt(series.order0)}")
-    print(f"order1={fmt(series.order1)}")
-    print(f"order2={fmt(series.order2)}")
-    resid = []
-    for d in deltas:
-        direct = entropy.tsallis_relative_entropy(rho, sigma, 1.0 + d)
-        approx = series.evaluate(d)
-        print(f"delta={fmt(d)} S={fmt(direct)} series={fmt(approx)}")
-        resid.append(abs(direct - approx))
-    # A zero residual (as with rho = sigma) leaves no power law to fit.
-    if len(deltas) >= 2 and all(resid):
-        slope, _ = np.polyfit(np.log(deltas), np.log(resid), 1)
-        print(f"residual_slope={fmt(float(slope))}")
+    report = entropy.tsallis_series_report(rho, sigma, deltas)
+    series = report.series
+    for k, coef in enumerate((series.order0, series.order1, series.order2)):
+        print(f"order{k}={fmt(coef)}")
+    for d, direct in zip(deltas, report.values):
+        print(f"delta={fmt(d)} S={fmt(direct)} series={fmt(series.evaluate(d))}")
+    if report.slope is not None:
+        print(f"residual_slope={fmt(report.slope)}")
     return EXIT_OK
 
 
@@ -250,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--q", type=float, default=None)
     group.add_argument("--delta-series", nargs="?", default=None,
-                       const="0.1,0.031622776601683794,0.01,0.0031622776601683794",
+                       const=",".join(map(repr, entropy.SERIES_DELTAS)),
                        help="comma-separated delta list for the series report")
     p.set_defaults(func=cmd_tsallis)
 

@@ -8,6 +8,12 @@ S_{1+delta} around delta = 0, and the distance parameter
 
 which is >= 0 for T > 0 and <= 0 for T < 0, with equality iff rho is the
 thermal state of (H, T).
+
+Each relative entropy is one sum over the eigenpairs (i, j) of rho and sigma,
+with weights w_ij = lam_i |<r_i|s_j>|^2 and log ratios a_ij = ln lam_i - ln mu_j:
+S_vn = sum w a, S_q = sum w expm1((q-1) a)/(q-1), and order k of the series in
+delta = q - 1 is sum w a^{k+1}/(k+1)!.  No difference is divided by q - 1, and
+the sums take sum w = 1: S_q is that of the states normalised to unit trace.
 """
 
 from __future__ import annotations
@@ -16,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidState,
-    DimensionMismatch,
-    UnsupportedQ,
-    SupportDeficient,
-    ZeroTemperature,
-)
+from .errors import (DimensionMismatch, InvalidState, SupportDeficient, UnsupportedQ,
+                     ZeroTemperature)
 from .hermitian import eigendecompose, log_trace_exp
 
 SUPPORT_EPS = 1e-12
@@ -45,61 +46,57 @@ def _density_eig(rho: np.ndarray):
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(rho ln rho) in nats, with the x ln x -> 0 convention."""
-    w = _density_eig(rho).eigenvalues
-    w = np.clip(w, 0.0, None)
+    w = np.clip(_density_eig(rho).eigenvalues, 0.0, None)
     pos = w[w > 0.0]
     return float(-(pos * np.log(pos)).sum())
 
 
 def _pair_spectrum(rho: np.ndarray, sigma: np.ndarray):
-    """The spectra of rho and sigma that both relative entropies trace over.
+    """The eigenpair weights and log ratios that every relative entropy sums.
 
-    Returns (lam, mu, kernel, overlap, escapes): the clipped eigenvalues of
-    rho and sigma, the mask of sigma's kernel, |<r_i|s_j>|^2, and whether
-    rho puts more than KERNEL_MASS_TOL on sigma's kernel.
+    Returns (w, a, lam, mu, escapes): w_ij = lam_i |<r_i|s_j>|^2, a_ij = ln lam_i
+    - ln mu_j (ln lam_i := 0 where lam_i = 0, ln mu_j := 0 on sigma's kernel),
+    the clipped eigenvalues, and whether rho puts > KERNEL_MASS_TOL on the kernel.
     """
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"{rho.shape} vs {sigma.shape}")
-    dr = _density_eig(rho)
-    ds = _density_eig(sigma)
-    lam = np.clip(dr.eigenvalues, 0.0, None)
-    mu = np.clip(ds.eigenvalues, 0.0, None)
+    dr, ds = _density_eig(rho), _density_eig(sigma)
+    lam, mu = np.clip(dr.eigenvalues, 0.0, None), np.clip(ds.eigenvalues, 0.0, None)
     kernel = mu <= SUPPORT_EPS
-    escapes = False
-    if kernel.any():
-        vk = ds.eigenvectors[:, kernel]
-        mass = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho, vk)))
-        escapes = mass > KERNEL_MASS_TOL
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
-    return lam, mu, kernel, overlap, escapes
+    vk = ds.eigenvectors[:, kernel]
+    escapes = np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho, vk)) > KERNEL_MASS_TOL
+    w = lam[:, None] * np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    ln_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    ln_mu = np.log(mu, out=np.zeros_like(mu), where=~kernel)
+    return w, ln_lam[:, None] - ln_mu, lam, mu, escapes
 
 
 def relative_entropy_vn(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr(rho (ln rho - ln sigma)); +inf when supp(rho) is not in supp(sigma)."""
-    lam, mu, kernel, overlap, escapes = _pair_spectrum(rho, sigma)
-    if escapes:
+    w, a, _, _, escapes = _pair_spectrum(rho, sigma)
+    return float("inf") if escapes else float((w * a).sum())
+
+
+def _tsallis(w, a, mu, escapes, q: float) -> float:
+    if q > 1.0 and escapes:
         return float("inf")
-    pos = lam > 0.0
-    s_rho = float((lam[pos] * np.log(lam[pos])).sum())
-    # Tr(rho ln sigma) on sigma's support; rho has negligible kernel mass.
-    lnmu = np.zeros_like(mu)
-    lnmu[~kernel] = np.log(mu[~kernel])
-    cross = float(lam @ overlap @ lnmu)
-    return s_rho - cross
+    x = (q - 1.0) * a
+    terms = w * np.expm1(np.minimum(x, 700.0))
+    # Only a subnormal lam_i takes x past 700, where e^x alone overflows.
+    big = (x > 700.0) & (w > 0.0)
+    terms[big] = np.exp(np.log(w[big]) + x[big]) - w[big]
+    # sigma^{1-q} on sigma's support only: a kernel column's term is w (0 - 1).
+    kernel = mu <= SUPPORT_EPS
+    terms[:, kernel] = -w[:, kernel]
+    return float(terms.sum()) / (q - 1.0)
 
 
 def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
     """S_q = (1 - Tr(rho^q sigma^{1-q}))/(1-q) for 0 < q < inf, q != 1."""
     if not 0.0 < q < float("inf") or q == 1.0:
         raise UnsupportedQ(f"q must be positive, finite and != 1, got {q}")
-    lam, mu, kernel, overlap, escapes = _pair_spectrum(rho, sigma)
-    if q > 1.0 and escapes:
-        return float("inf")
-    # sigma^{1-q} evaluated on sigma's support only.
-    mu_pow = np.zeros_like(mu)
-    mu_pow[~kernel] = mu[~kernel] ** (1.0 - q)
-    trace_term = float((lam**q) @ overlap @ mu_pow)
-    return (1.0 - trace_term) / (1.0 - q)
+    w, a, _, mu, escapes = _pair_spectrum(rho, sigma)
+    return _tsallis(w, a, mu, escapes, q)
 
 
 @dataclass(frozen=True)
@@ -114,26 +111,47 @@ class TsallisSeries:
         return self.order0 + self.order1 * delta + self.order2 * delta * delta
 
 
+def _series(w, a, lam, mu) -> TsallisSeries:
+    if lam.min() <= 1e-14 or mu.min() <= 1e-14:
+        raise SupportDeficient("both states must have full support")
+    return TsallisSeries(order0=float((w * a).sum()),
+                         order1=float((w * a**2).sum()) / 2.0,
+                         order2=float((w * a**3).sum()) / 6.0)
+
+
 def tsallis_series(rho: np.ndarray, sigma: np.ndarray) -> TsallisSeries:
     """Taylor coefficients of S_{1+delta} in delta for full-support states."""
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"{rho.shape} vs {sigma.shape}")
-    dr = _density_eig(rho)
-    ds = _density_eig(sigma)
-    if dr.eigenvalues.min() <= 1e-14 or ds.eigenvalues.min() <= 1e-14:
-        raise SupportDeficient("both states must have full support")
-    vr, vs = dr.eigenvectors, ds.eigenvectors
-    log_r = (vr * np.log(dr.eigenvalues)) @ vr.conj().T
-    log_s = (vs * np.log(ds.eigenvalues)) @ vs.conj().T
-    a = log_r - log_s
-    order0 = float(np.real(np.trace(rho @ a)))
-    order1 = 0.5 * float(np.real(np.trace(rho @ a @ a)))
-    comm = log_r @ log_s - log_s @ log_r
-    order2 = (
-        float(np.real(np.trace(rho @ a @ a @ a)))
-        + float(np.real(np.trace(rho @ comm @ log_s)))
-    ) / 6.0
-    return TsallisSeries(order0=order0, order1=order1, order2=order2)
+    return _series(*_pair_spectrum(rho, sigma)[:4])
+
+
+# The deltas of `tsallis --delta-series` and of verify's series family.
+SERIES_DELTAS = (1e-1, 10**-1.5, 1e-2, 10**-2.5)
+# Residuals within this many ulps of sum w (|ln lam| + |ln mu|) are rounding.
+RESIDUAL_FLOOR_ULPS = 64
+
+
+@dataclass(frozen=True)
+class SeriesReport:
+    """The series, each S_{1+delta}, and the residuals' log-log slope (or None)."""
+
+    series: TsallisSeries
+    values: tuple[float, ...]
+    slope: float | None
+
+
+def tsallis_series_report(rho: np.ndarray, sigma: np.ndarray, deltas) -> SeriesReport:
+    """The series and each S_{1+delta} from one pair spectrum; no slope for
+    fewer than two deltas, or when a residual is infinite or at the floor."""
+    w, a, lam, mu, escapes = _pair_spectrum(rho, sigma)
+    series = _series(w, a, lam, mu)
+    values = tuple(_tsallis(w, a, mu, escapes, 1.0 + d) for d in deltas)
+    resid = np.abs([s - series.evaluate(d) for s, d in zip(values, deltas)])
+    scale = float((w * (np.abs(np.log(lam))[:, None] + np.abs(np.log(mu)))).sum())
+    floor = RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * scale
+    slope = None
+    if len(deltas) >= 2 and floor < resid.min() and resid.max() < np.inf:
+        slope = float(np.polyfit(np.log(deltas), np.log(resid), 1)[0])
+    return SeriesReport(series=series, values=values, slope=slope)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,22 @@ def test_tsallis_series_equal_states_prints_no_slope(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_tsallis_series_rounding_residue_prints_no_slope(tmp_path, capsys):
+    # rho = sigma with no exact zero: every S_{1+delta} and the series are
+    # ~1e-31, residue at the rounding floor, so no power law is fitted.
+    from entropyne import random_density_matrix
+
+    rho, _ = write_state_pair(tmp_path, random_density_matrix(3, 7))
+    assert main(["tsallis", "--rho-file", rho, "--sigma-file", rho,
+                 "--delta-series"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 + 4
+    assert all(abs(float(ln.split("=")[-1])) < 1e-25 for ln in lines)
+    assert not any(ln.startswith("residual_slope=") for ln in lines)
+    assert captured.err == ""
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["qubit-grid", "--p-norm", "0.5"]) == 2  # missing required flags
     assert main(QUBIT_ARGS[:-2] + ["--temp", "-1:1:5"]) == 2  # mixed-sign T

@@ -20,6 +20,7 @@ from entropyne import (
     tsallis_series,
     von_neumann_entropy,
 )
+from entropyne.entropy import RESIDUAL_FLOOR_ULPS, SERIES_DELTAS, tsallis_series_report
 
 DIAG_RHO = np.diag([0.7, 0.3]).astype(complex)
 DIAG_SIGMA = np.diag([0.5, 0.5]).astype(complex)
@@ -112,6 +113,8 @@ def test_series_commuting_coefficients():
     assert math.isclose(series.order0, 0.082282, abs_tol=1e-6)
     assert math.isclose(series.order1, order1, rel_tol=1e-12)
     assert abs(order1 - 0.078766) < 1e-6
+    order2 = (0.7 * math.log(1.4) ** 3 + 0.3 * math.log(0.6) ** 3) / 6.0
+    assert math.isclose(series.order2, order2, rel_tol=1e-12)
 
 
 def test_series_rejects_rank_deficiency():
@@ -131,6 +134,166 @@ def test_series_cubic_residual(seed):
     ])
     slope = np.polyfit(np.log(deltas), np.log(resid), 1)[0]
     assert abs(slope - 3.0) <= 0.3
+
+
+def operator_series(rho, sigma):
+    """order0/1/2 from the trace formula: with A = ln rho - ln sigma,
+    order0 = Tr(rho A), order1 = Tr(rho A^2)/2 and
+    order2 = (Tr(rho A^3) + Tr(rho [ln rho, ln sigma] ln sigma))/6."""
+    def log_m(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.log(w)) @ v.conj().T
+
+    def tr(m):
+        return float(np.real(np.trace(m)))
+
+    log_r, log_s = log_m(rho), log_m(sigma)
+    a = log_r - log_s
+    comm = log_r @ log_s - log_s @ log_r
+    return (tr(rho @ a), tr(rho @ a @ a) / 2.0,
+            (tr(rho @ a @ a @ a) + tr(rho @ comm @ log_s)) / 6.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_series_matches_operator_form(seed):
+    dim = 2 + seed % 5
+    rho = random_density_matrix(dim, seed)
+    sigma = random_density_matrix(dim, seed + 300)
+    assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-3  # non-commuting
+    series = tsallis_series(rho, sigma)
+    for got, want in zip((series.order0, series.order1, series.order2),
+                         operator_series(rho, sigma)):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def rounding_floor(rho, sigma):
+    """RESIDUAL_FLOOR_ULPS * eps * sum_ij w_ij (|ln lam_i| + |ln mu_j|), with
+    w_ij = lam_i |<r_i|s_j>|^2: the residual below which no slope is fitted."""
+    lam, r = np.linalg.eigh(rho)
+    mu, s = np.linalg.eigh(sigma)
+    w = lam[:, None] * np.abs(r.conj().T @ s) ** 2
+    scale = (w * (np.abs(np.log(lam))[:, None] + np.abs(np.log(mu)))).sum()
+    return RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * scale
+
+
+def test_series_report_shares_one_fit():
+    rho = random_density_matrix(3, 7)
+    sigma = random_density_matrix(3, 8)
+    report = tsallis_series_report(rho, sigma, SERIES_DELTAS)
+    assert report.series == tsallis_series(rho, sigma)
+    direct = [tsallis_relative_entropy(rho, sigma, 1.0 + d) for d in SERIES_DELTAS]
+    assert np.allclose(report.values, direct, rtol=1e-14, atol=0.0)
+    resid = np.abs(np.array(direct) - [report.series.evaluate(d) for d in SERIES_DELTAS])
+    assert resid.min() > 1e4 * rounding_floor(rho, sigma)
+    slope = np.polyfit(np.log(SERIES_DELTAS), np.log(resid), 1)[0]
+    assert math.isclose(report.slope, slope, rel_tol=1e-6)
+    assert abs(report.slope - 3.0) <= 0.3
+    assert tsallis_series_report(rho, sigma, SERIES_DELTAS[:1]).slope is None
+
+
+def test_series_report_no_slope_at_rounding_floor():
+    # rho = sigma: S_{1+delta} and the series are both ~1e-31, not 0, and a fit
+    # to that residue would give a slope near 3 that means nothing.
+    rho = random_density_matrix(3, 7)
+    report = tsallis_series_report(rho, rho, SERIES_DELTAS)
+    resid = [abs(s - report.series.evaluate(d))
+             for s, d in zip(report.values, SERIES_DELTAS)]
+    floor = rounding_floor(rho, rho)
+    assert 0.0 < max(resid) <= floor
+    assert floor <= 64 * np.finfo(float).eps * 2.0 * von_neumann_entropy(rho) * 1.01
+    assert report.slope is None
+
+
+def unit_trace_reference(mpmath, rho, sigma):
+    """S_q(q) at 50 digits, of rho and sigma normalised to unit trace there."""
+    def spectrum(m):
+        a = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in m])
+        a = (a + a.H) / 2
+        return mpmath.eighe(a / sum(a[i, i].real for i in range(a.rows)))
+
+    with mpmath.workdps(50):
+        (lam, r), (mu, s) = spectrum(rho), spectrum(sigma)
+        n = len(lam)
+        terms = [(lam[i], mu[j], abs(mpmath.fsum(mpmath.conj(r[k, i]) * s[k, j]
+                                                 for k in range(n))) ** 2)
+                 for i in range(n) for j in range(n)]
+
+    def s_q(q):
+        with mpmath.workdps(50):
+            q = mpmath.mpf(q)
+            trace = mpmath.fsum(l ** q * m ** (1 - q) * o for l, m, o in terms)
+            return (1 - trace) / (1 - q)
+    return s_q
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tsallis_near_q1_matches_50_digit_reference(seed):
+    # (1 - Tr rho^q sigma^{1-q})/(1 - q) in doubles loses ~eps/delta: 7.8e-6
+    # relative at delta = 1e-10 on these pairs.  The eigenpair sum: <= 1.6e-14.
+    mpmath = pytest.importorskip("mpmath")
+    rho = random_density_matrix(2 + seed % 4, 4000 + seed)
+    sigma = random_density_matrix(2 + seed % 4, 4100 + seed)
+    reference = unit_trace_reference(mpmath, rho, sigma)
+    for delta in (1e-4, 1e-8, 1e-10):
+        for q in (1.0 + delta, 1.0 - delta):
+            exact = reference(q)
+            got = tsallis_relative_entropy(rho, sigma, q)
+            assert float(abs((got - exact) / exact)) <= 1e-13
+
+
+def state(p, u):
+    return (u * np.asarray(p, dtype=float)) @ u.conj().T
+
+
+KERNEL_U = np.linalg.eigh(random_hermitian(3, 11))[1]
+KERNEL_W = np.eye(3, dtype=complex)
+KERNEL_W[:2, :2] = np.linalg.eigh(random_hermitian(2, 13))[1]
+SIGMA_KERNEL = state([0.5, 0.5, 0.0], KERNEL_U)
+KERNEL_PAIRS = {
+    # lam_i = 0 against a full-rank sigma.
+    "rho-rank-deficient": (state([0.6, 0.4, 0.0], KERNEL_U), random_density_matrix(3, 12)),
+    # mu_j = 0 with rho inside sigma's support (mass on the kernel ~1e-32).
+    "sigma-kernel-inside": (state([0.7, 0.3, 0.0], KERNEL_U @ KERNEL_W), SIGMA_KERNEL),
+    # mu_j = 0 with a full-rank rho: its mass escapes onto sigma's kernel.
+    "sigma-kernel-escaping": (random_density_matrix(3, 14), SIGMA_KERNEL),
+    "disjoint-diagonal": (np.diag([1.0, 0.0]).astype(complex),
+                          np.diag([0.0, 1.0]).astype(complex)),
+}
+KERNEL_QS = (0.5, 0.9, 1.5, 2.0)
+INF = float("inf")
+# (S_vn, then S_q at each of KERNEL_QS), computed with the trace forms
+# Tr rho ln rho - Tr rho ln sigma and (1 - Tr rho^q sigma^{1-q})/(1 - q), with
+# ln sigma and sigma^{1-q} taken on sigma's support.
+KERNEL_VALUES = {
+    "rho-rank-deficient": (1.4539675269749373, 0.7641661872349743, 1.2625552941329135,
+                           3.341841173012938, 9.68982672501417),
+    "sigma-kernel-inside": (0.08228287850505156, 0.04218737413859319,
+                            0.07438282413298249, 0.12126034081278192,
+                            0.15999999999999925),
+    "sigma-kernel-escaping": (INF, 0.26634977627465295, 1.594706856968549, INF, INF),
+    "disjoint-diagonal": (INF, 2.0, 10.000000000000002, INF, INF),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_PAIRS)
+def test_kernel_support_rules(name):
+    rho, sigma = KERNEL_PAIRS[name]
+    got = [relative_entropy_vn(rho, sigma)]
+    got += [tsallis_relative_entropy(rho, sigma, q) for q in KERNEL_QS]
+    for value, want in zip(got, KERNEL_VALUES[name]):
+        assert (value == INF) == (want == INF)
+        if want != INF:
+            assert math.isclose(value, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.01, 0.001])
+def test_tsallis_subnormal_eigenvalue(q):
+    # lam = 1e-320 puts (q - 1)(ln lam - ln mu) past e^x's overflow for
+    # q < 0.05, though its term lam^q mu^{1-q} is finite.
+    rho = np.diag([1.0, 1e-320]).astype(complex)
+    trace = (1.0 + 1e-320**q) * 0.5 ** (1.0 - q)
+    assert math.isclose(tsallis_relative_entropy(rho, DIAG_SIGMA, q),
+                        (1.0 - trace) / (1.0 - q), rel_tol=1e-12)
 
 
 def test_delta_from_scalars_direct():

@@ -1,4 +1,4 @@
-"""Golden SHA-256 hashes of the grid subcommands' output bytes.
+"""Golden SHA-256 hashes of the grid subcommands' and `tsallis` output bytes.
 
 The hashes were recorded from the CLI before grid output was streamed; a
 change to how grids are serialized must leave every one of them unchanged.
@@ -92,6 +92,32 @@ CASES = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+# `tsallis` on a fixed non-commuting pair of 3x3 states (matrix file text).
+TSALLIS_RHO = "3\n0.5 0.1-0.2j 0.05\n0.1+0.2j 0.3 -0.1+0.05j\n0.05 -0.1-0.05j 0.2\n"
+TSALLIS_SIGMA = "3\n0.4 0.05+0.1j 0\n0.05-0.1j 0.35 0.1j\n0 -0.1j 0.25\n"
+TSALLIS_CASES = {
+    "tsallis-q2": (
+        ["--q", "2"],
+        "64e8adedf37b0bcf4e1447d5e994cf8e008064aaf5f9312d00466652391ebb0d"),
+    "tsallis-delta-series": (
+        ["--delta-series"],
+        "a655820c3a4d8093ee25cedc31dc8a30e1f2aa2342cbf5085da2b047d4937dc5"),
+}
+
+
+@pytest.mark.parametrize("name", TSALLIS_CASES)
+def test_tsallis_stdout_bytes(name, tmp_path, capsys):
+    rho, sigma = tmp_path / "rho.txt", tmp_path / "sigma.txt"
+    rho.write_text(TSALLIS_RHO)
+    sigma.write_text(TSALLIS_SIGMA)
+    flags, digest = TSALLIS_CASES[name]
+    assert cli.main(["tsallis", "--rho-file", str(rho), "--sigma-file", str(sigma)]
+                    + flags) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    assert sha256(stdout.encode("ascii")) == digest
 
 
 def check_output(name, capsys, out=None):
