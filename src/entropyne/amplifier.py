@@ -117,7 +117,8 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
                             nbar_range: GridSpec,
                             metadata: dict | None = None) -> DeltaGrid:
     """Distance parameter over (T, nbar), with a per-nbar argmin marker column:
-    1 at the T row minimizing the distance for that nbar, 0 elsewhere.
+    1 at the T row minimizing the distance for that nbar, 0 elsewhere.  The
+    markers are int8, one byte per cell.
 
     Raises DivergentPartition when the form has no partition function, and
     NumericalFailure when a cell overflows a double.
@@ -149,7 +150,8 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
 
 def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     """1 at the row of each column's smallest non-NaN cell (the first on a
-    tie), 0 elsewhere; a column whose cells are all NaN has no marker.
+    tie), 0 elsewhere; a column whose cells are all NaN has no marker.  The
+    markers are int8: a 0/1 flag needs one byte, not the eight of int64.
 
     np.fmin skips NaN, and np.unique keeps each column's first hit of its
     minimum in row-major order, i.e. its lowest row.  A column-wise
@@ -162,7 +164,7 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
         raise DivergentPartition("every cell diverged: no convergent partition function")
     rows, cols = np.divmod(np.flatnonzero(cells == column_min), cells.shape[1])
     cols, first = np.unique(cols, return_index=True)
-    markers = np.zeros(cells.shape, dtype=int)
+    markers = np.zeros(cells.shape, dtype=np.int8)
     markers[rows[first], cols] = 1
     return markers
 

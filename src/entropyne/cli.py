@@ -151,6 +151,8 @@ def cmd_tsallis(args) -> int:
     if args.q is not None:
         value = entropy.tsallis_relative_entropy(rho, sigma, args.q)
         print(f"S_q={fmt(value) if math.isfinite(value) else 'inf'}")
+        # S_q is +inf only for q > 1 with rho's mass on sigma's kernel; an
+        # S_q past the double range raises NumericalFailure instead.
         if not math.isfinite(value):
             print("# support(rho) is not contained in support(sigma)")
         return EXIT_OK

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidState, SupportDeficient, UnsupportedQ,
-                     ZeroTemperature)
+from .errors import (DimensionMismatch, InvalidState, NumericalFailure, SupportDeficient,
+                     UnsupportedQ, ZeroTemperature)
 from .hermitian import eigendecompose, log_trace_exp
 
 SUPPORT_EPS = 1e-12
@@ -80,19 +80,28 @@ def relative_entropy_vn(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _tsallis(w, a, mu, escapes, q: float) -> float:
     if q > 1.0 and escapes:
         return float("inf")
-    x = (q - 1.0) * a
-    terms = w * np.expm1(np.minimum(x, 700.0))
-    # Only a subnormal lam_i takes x past 700, where e^x alone overflows.
-    big = (x > 700.0) & (w > 0.0)
-    terms[big] = np.exp(np.log(w[big]) + x[big]) - w[big]
-    # sigma^{1-q} on sigma's support only: a kernel column's term is w (0 - 1).
-    kernel = mu <= SUPPORT_EPS
-    terms[:, kernel] = -w[:, kernel]
-    return float(terms.sum()) / (q - 1.0)
+    # Past the double range a term or the sum reads +inf; that is raised below.
+    with np.errstate(over="ignore"):
+        x = (q - 1.0) * a
+        terms = w * np.expm1(np.minimum(x, 700.0))
+        # A subnormal lam_i or a large q takes x past 700, where e^x overflows.
+        big = (x > 700.0) & (w > 0.0)
+        terms[big] = np.exp(np.log(w[big]) + x[big]) - w[big]
+        # sigma^{1-q} on sigma's support only: a kernel column's term is w (0 - 1).
+        kernel = mu <= SUPPORT_EPS
+        terms[:, kernel] = -w[:, kernel]
+        value = float(terms.sum()) / (q - 1.0)
+    if not np.isfinite(value):
+        raise NumericalFailure(f"S_q overflows a double at q = {q:.17g}")
+    return value
 
 
 def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
-    """S_q = (1 - Tr(rho^q sigma^{1-q}))/(1-q) for 0 < q < inf, q != 1."""
+    """S_q = (1 - Tr(rho^q sigma^{1-q}))/(1-q) for 0 < q < inf, q != 1.
+
+    +inf exactly when q > 1 and supp(rho) is not in supp(sigma); a finite S_q
+    past the double range raises NumericalFailure.
+    """
     if not 0.0 < q < float("inf") or q == 1.0:
         raise UnsupportedQ(f"q must be positive, finite and != 1, got {q}")
     w, a, _, mu, escapes = _pair_spectrum(rho, sigma)

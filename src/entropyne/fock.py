@@ -90,6 +90,22 @@ def quadratic_hamiltonian_matrix(h: QuadraticHamiltonian,
     return check_hermitian(m, tol=1e-10)
 
 
+def quadratic_hamiltonian_diagonal(h: QuadraticHamiltonian, tr: FockTruncation) -> np.ndarray:
+    """The diagonal of quadratic_hamiltonian_matrix(h, tr), without the matrix.
+
+    On the diagonal p p is w0 (a adag + adag a)/2, q q is (a adag + adag a)/(2
+    w0) and p q + q p vanishes, so H_nn = (w1 w0 + w3/w0)(n + m_n)/2 + Im w2
+    with m_n = (a adag)_nn: n + 1 below the edge, 0 at n = N - 1, where the
+    truncated a adag has no |N> to reach.
+    """
+    if tr.omega0 != h.omega0:
+        raise ValueError("truncation and Hamiltonian must share omega0")
+    n = np.arange(tr.n_max, dtype=float)
+    a_adag = n + 1.0
+    a_adag[-1] = 0.0
+    return (h.omega1 * tr.omega0 + h.omega3 / tr.omega0) * (n + a_adag) / 2.0 + h.omega2.imag
+
+
 def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
     """Sum of e^{-beta lambda} over the truncated spectrum.
 

@@ -82,7 +82,7 @@ class DeltaGrid:
     cells: np.ndarray  # shape (len(axis1), len(axis2)); NaN = flagged cell
     metadata: dict = field(default_factory=dict)
     marker_name: Optional[str] = None
-    markers: Optional[np.ndarray] = None  # same shape as cells, int; needs marker_name
+    markers: Optional[np.ndarray] = None  # 0/1 int or bool, cells' shape; needs marker_name
 
     def __post_init__(self) -> None:
         expected = (len(self.axis1_values), len(self.axis2_values))

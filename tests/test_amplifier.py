@@ -123,6 +123,26 @@ def test_argmin_markers_match_column_loop():
     assert np.array_equal(_argmin_markers(cells), loop_argmin_markers(cells))
 
 
+def test_surface_markers_are_one_byte_per_cell():
+    surface = amplifier_delta_surface(CFG, GridSpec(0.2, 10.0, 40), GridSpec(0.5, 4.0, 6))
+    assert surface.markers.dtype == np.int8
+    assert surface.markers.shape == surface.cells.shape
+    assert surface.markers.nbytes == surface.cells.size
+
+
+def test_int8_markers_match_column_loop_on_edge_columns():
+    # Columns: NaN above and below a -inf, a +inf minimum with no NaN, a
+    # -inf tie, a tie of finite values, all NaN, and a lone finite cell.
+    nan, inf = np.nan, np.inf
+    cells = np.array([[nan, inf, 1.0, 2.0, nan, nan],
+                      [-inf, inf, -inf, 2.0, nan, nan],
+                      [nan, inf, -inf, 3.0, nan, 0.5]])
+    markers = _argmin_markers(cells)
+    assert markers.dtype == np.int8
+    assert np.array_equal(markers, loop_argmin_markers(cells))
+    assert np.array_equal(markers.sum(axis=0), [1, 1, 1, 1, 0, 1])
+
+
 def test_argmin_marker_never_on_a_divergent_cell():
     # Where a column's minimum is +inf below a NaN, nanargmin (the loop)
     # marks the NaN row; the marker belongs on the +inf cell.

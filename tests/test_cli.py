@@ -139,6 +139,16 @@ def test_tsallis_support_mismatch_reports_inf(tmp_path, capsys):
     assert "support" in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_tsallis_overflow_exits_3(tmp_path, capsys):
+    # sigma has full support, so S_q is finite, but at q = 40 it is ~1e427:
+    # a numeric error on one stderr line, not an inf read as a support note.
+    rho, sigma = write_state_pair(tmp_path, np.eye(2) / 2, np.diag([1.0 - 1e-11, 1e-11]))
+    err = assert_one_error_line(["tsallis", "--rho-file", rho, "--sigma-file", sigma,
+                                 "--q", "40"], capsys)
+    assert "overflows" in err
+
+
 def test_tsallis_series_slope(tmp_path, capsys):
     from entropyne import random_density_matrix
 

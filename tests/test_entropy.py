@@ -7,6 +7,7 @@ import pytest
 
 from entropyne import (
     DeltaRecord,
+    NumericalFailure,
     SupportDeficient,
     UnsupportedQ,
     ZeroTemperature,
@@ -72,6 +73,24 @@ def test_tsallis_support_mismatch_is_inf():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
     assert tsallis_relative_entropy(rho, sigma, 2.0) == float("inf")
+
+
+# Full support, but mu = 1e-11 makes Tr rho^q sigma^{1-q} ~ 0.5^q 1e-11^{1-q}.
+STEEP_SIGMA = np.diag([1.0 - 1e-11, 1e-11]).astype(complex)
+
+
+@pytest.mark.parametrize("q", [40.0, 1e300])
+def test_tsallis_past_double_range_raises(q):
+    # S_q(40) ~ 1e427 is finite in exact arithmetic: not an inf, not a warning.
+    with pytest.raises(NumericalFailure, match="overflows"):
+        tsallis_relative_entropy(DIAG_SIGMA, STEEP_SIGMA, q)
+
+
+def test_tsallis_steep_sigma_within_double_range():
+    q = 20.0
+    trace = 0.5**q * ((1.0 - 1e-11) ** (1.0 - q) + 1e-11 ** (1.0 - q))
+    assert math.isclose(tsallis_relative_entropy(DIAG_SIGMA, STEEP_SIGMA, q),
+                        (1.0 - trace) / (1.0 - q), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.0, -1.0, 1.0, float("nan"), float("inf")])

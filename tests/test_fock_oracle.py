@@ -69,6 +69,18 @@ def test_harmonic_matrix_is_number_operator():
     assert np.abs(off[:38, :38]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("h", [oscillator(1.0),
+                               QuadraticHamiltonian(omega0=0.7, omega1=0.6, omega2=0.2 + 0.3j,
+                                                    omega3=0.4)])
+def test_hamiltonian_diagonal_without_the_matrix(h):
+    tr = FockTruncation(400, h.omega0)
+    want = np.diag(quadratic_hamiltonian_matrix(h, tr)).real
+    got = fock.quadratic_hamiltonian_diagonal(h, tr)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # The last entry lacks the a adag term of the truncated p p and q q.
+    assert got[-1] < got[-2]
+
+
 def test_su11_operator_form():
     # H = 2(gamma1 K- + gamma1* K+ + (w3/w0 + w0 w1) K0) + Im(w2), with
     # K+ = adag^2/2, K- = a^2/2, K0 = (adag a + 1/2)/2.

@@ -8,6 +8,7 @@ A case whose every cell diverges has no hash: it must exit 3 with one
 `error:` line on stderr and write nothing.
 """
 
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -264,6 +265,22 @@ def test_block_template_matches_per_cell_csv(shape, marked, block_cells, monkeyp
         assert grid.to_csv_text() == per_cell_csv(grid)
     grid = synthetic_grid()
     assert grid.to_csv_text("value") == per_cell_csv(grid, "value")
+
+
+@pytest.mark.parametrize("block_cells", [13, grids._BLOCK_CELLS])
+def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
+    # The amplifier surface holds int8 markers; int64 and bool markers of the
+    # same 0/1 values must write the same CSV and JSON.
+    monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
+    seeded = seeded_grid(3, (60, 7), True, nan_axis=True)
+    for grid in [synthetic_grid(), seeded]:
+        flags = grid.markers > 0
+        texts = {(g.to_csv_text(), g.to_json_text())
+                 for g in (dataclasses.replace(grid, markers=flags.astype(dtype))
+                           for dtype in (np.int8, np.int64, bool))}
+        assert len(texts) == 1
+    # A 1 on a blank cell: the NaN blanking matches each marker's text.
+    assert (seeded.markers > 0)[np.isnan(seeded.cells)].any()
 
 
 def test_markers_of_the_wrong_shape_are_rejected():
