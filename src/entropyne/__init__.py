@@ -10,9 +10,6 @@ and zero exactly at equilibrium.  Closed forms are provided for qubits
 (Bloch parametrization) and single-mode Gaussian states (quadratic
 Hamiltonians handled through their hyperbolic normal form), with an
 independent truncated number-basis / quadrature verification layer.
-
-Environment:
-    ENTROPYNE_THREADS  default for the grid subcommands' --threads; accepted, does nothing
 """
 
 __version__ = "0.1.0"

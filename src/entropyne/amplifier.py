@@ -21,6 +21,10 @@ from .errors import BracketError, DivergentPartition, DomainError, NumericalFail
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
 
+# Relative bracket width at which delta_argmin_temperature stops: ten times
+# below the 1e-5 to which criterion 9a checks T* against its closed form.
+_ARGMIN_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AmplifierConfig:
@@ -43,14 +47,11 @@ class AmplifierConfig:
 @dataclass(frozen=True)
 class ThermalLight:
     nbar: float
-    omega_t: float = 1.0
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if not self.nbar >= 0.0:
             raise ValueError("nbar must be >= 0")
-        if not self.omega_t > 0.0:
-            raise ValueError("omega_t must be positive")
 
 
 def _require_finite(obj) -> None:
@@ -114,8 +115,7 @@ def nbar_from_temperature(t_prime: float, omega_t: float) -> float:
 
 
 def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
-                            nbar_range: GridSpec,
-                            metadata: dict | None = None) -> DeltaGrid:
+                            nbar_range: GridSpec) -> DeltaGrid:
     """Distance parameter over (T, nbar), with a per-nbar argmin marker column:
     1 at the T row minimizing the distance for that nbar, 0 elsewhere.  The
     markers are int8, one byte per cell.
@@ -142,7 +142,6 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         axis1_values=temps,
         axis2_values=nbars,
         cells=cells,
-        metadata=metadata or {},
         marker_name="argmin",
         markers=_argmin_markers(cells),
     )
@@ -170,18 +169,15 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
 
 
 def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
-                             bracket: tuple[float, float],
-                             rel_tol: float = 1e-6) -> float:
+                             bracket: tuple[float, float]) -> float:
     """Minimizer of T -> distance(T, nbar) on the bracket, by `_kernels.argmin_rounds`.
 
     Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), so sampling
-    rounds of the kernel narrow the bracket to b - a <= rel_tol a.
+    rounds of the kernel narrow the bracket to b - a <= _ARGMIN_REL_TOL a.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:  # also false for NaN
         raise BracketError(f"invalid bracket {bracket}: need finite 0 < lo < hi")
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     if not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar <= 0.0:
@@ -191,8 +187,9 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
     form = (np.array([nbar]), h.k0_coefficient, h.effective_frequency, h.omega2.imag)
     # Looked up per call, so a replaced kernel (tracing, tests) is the one run.
     t_star = _kernels.argmin_rounds(
-        lambda temps: _kernels.amplifier_delta_cells(temps, *form)[:, 0], lo, hi, rel_tol)
-    edge = rel_tol * max(t_star, 1.0) * 4.0
+        lambda temps: _kernels.amplifier_delta_cells(temps, *form)[:, 0], lo, hi,
+        _ARGMIN_REL_TOL)
+    edge = _ARGMIN_REL_TOL * max(t_star, 1.0) * 4.0
     if t_star - lo < edge or hi - t_star < edge:
         raise BracketError("distance is monotone on the bracket (minimum at an end)")
     return t_star

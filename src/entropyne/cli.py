@@ -9,10 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 domain error.  Output is deterministic for fixed inputs and seed.  The grid
-subcommands accept --threads (default from ENTROPYNE_THREADS) for
-compatibility; it does not affect the work done or the output.  They stream
-their output, and a reader that closes stdout early (`| head`) ends the run
-quietly with exit 0.
+subcommands accept --threads (default 1) for compatibility; it does not
+affect the work done or the output.  They stream their output, and a reader
+that closes stdout early (`| head`) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _default_threads() -> int:
-    text = os.environ.get("ENTROPYNE_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"ENTROPYNE_THREADS must be an integer, got {text!r}") from None
 
 
 def _grid_spec(text: str) -> GridSpec:
@@ -142,6 +133,8 @@ def _read_matrix(path: str) -> np.ndarray:
         raise UsageError(f"{path}: malformed matrix file ({exc})") from None
     if m.shape != (dim, dim):
         raise UsageError(f"{path}: expected {dim}x{dim} entries, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise UsageError(f"{path}: malformed matrix file (non-finite entry)")
     return m
 
 
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; does not affect output")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed into metadata; grids are deterministic")
@@ -258,12 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -90,22 +90,6 @@ def quadratic_hamiltonian_matrix(h: QuadraticHamiltonian,
     return check_hermitian(m, tol=1e-10)
 
 
-def quadratic_hamiltonian_diagonal(h: QuadraticHamiltonian, tr: FockTruncation) -> np.ndarray:
-    """The diagonal of quadratic_hamiltonian_matrix(h, tr), without the matrix.
-
-    On the diagonal p p is w0 (a adag + adag a)/2, q q is (a adag + adag a)/(2
-    w0) and p q + q p vanishes, so H_nn = (w1 w0 + w3/w0)(n + m_n)/2 + Im w2
-    with m_n = (a adag)_nn: n + 1 below the edge, 0 at n = N - 1, where the
-    truncated a adag has no |N> to reach.
-    """
-    if tr.omega0 != h.omega0:
-        raise ValueError("truncation and Hamiltonian must share omega0")
-    n = np.arange(tr.n_max, dtype=float)
-    a_adag = n + 1.0
-    a_adag[-1] = 0.0
-    return (h.omega1 * tr.omega0 + h.omega3 / tr.omega0) * (n + a_adag) / 2.0 + h.omega2.imag
-
-
 def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
     """Sum of e^{-beta lambda} over the truncated spectrum.
 
@@ -119,29 +103,41 @@ def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
     return float(terms.sum()), float(terms[-1])
 
 
+def number_basis_bands(h: QuadraticHamiltonian, w: float,
+                       n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """H's two nonzero bands on the lowest n_max levels of the number basis of
+    frequency w: diag[n] = H_nn and off[n] = |H_{n,n+2}|.
+
+    In that basis
+
+        H = (n + 1/2)(omega1 w + omega3/w) + Im omega2 + c adag^2 + c* a^2,
+        c = (omega3/w - omega1 w)/2 + i Re omega2,
+
+    so H couples |n> only to |n +- 2>, with |c| sqrt((n+1)(n+2)).  These are
+    the entries of the untruncated H: the truncated ladder product in
+    quadratic_hamiltonian_matrix differs in its last diagonal entry.
+    """
+    n = np.arange(n_max, dtype=float)
+    diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
+    c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
+    off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    return diag, off
+
+
 def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     """Sorted spectrum of H on the lowest n_max (even) levels of the matched basis.
 
     The spectrum does not depend on the basis scale, so the number basis of
     frequency w = sqrt(omega3/omega1) is used: it minimizes the squeezing
     between basis and Hamiltonian and with it the truncation edge artifacts.
-    In any number basis
-
-        H = (n + 1/2)(omega1 w + omega3/w) + Im omega2 + c adag^2 + c* a^2,
-        c = (omega3/w - omega1 w)/2 + i Re omega2,
-
-    so H couples |n> only to |n +- 2>: the even-n and odd-n levels form two
-    Hermitian tridiagonal blocks of n_max/2 rows.  A diagonal phase gauge
-    makes their off-diagonals |c| sqrt((n+1)(n+2)).  Both blocks go to one
-    stacked numpy.linalg.eigvalsh call as small dense real symmetric
-    matrices; eigvalsh reads only the lower triangle, so only the diagonal
-    and the subdiagonal are filled.
+    By number_basis_bands the even-n and odd-n levels form two Hermitian
+    tridiagonal blocks of n_max/2 rows, and a diagonal phase gauge makes
+    their off-diagonals |H_{n,n+2}|.  Both blocks go to one stacked
+    numpy.linalg.eigvalsh call as small dense real symmetric matrices;
+    eigvalsh reads only the lower triangle, so only the diagonal and the
+    subdiagonal are filled.
     """
-    w = np.sqrt(h.omega3 / h.omega1)
-    n = np.arange(n_max, dtype=float)
-    diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
-    c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
-    off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    diag, off = number_basis_bands(h, np.sqrt(h.omega3 / h.omega1), n_max)
     m = n_max // 2
     # Row p of diag.reshape(m, 2).T holds the levels of parity p.
     blocks = np.zeros((2, m * m))

@@ -271,12 +271,12 @@ def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
     return delta_from_scalars(energy, entropy, log_z, temperature)
 
 
-def random_gaussian_params(seed: int, displaced: bool = True) -> GaussianParams:
+def random_gaussian_params(seed: int) -> GaussianParams:
     """Seeded valid kernel parameters; property-test fuel."""
     rng = np.random.default_rng(seed)
     a2 = float(rng.uniform(0.0, 1.5))
     a1 = complex((a2 + rng.uniform(0.2, 2.5)) / 2.0, rng.normal(0.0, 0.8))
-    b1 = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)) if displaced else 0j
+    b1 = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
     return GaussianParams(a1=a1, a2=a2, b1=b1)
 
 

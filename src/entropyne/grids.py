@@ -105,14 +105,14 @@ class DeltaGrid:
         """Markers of rows lo:hi as one `0, 1, 0` string, from one str() call."""
         return str(self.markers[lo:hi].astype(int).ravel().tolist())[1:-1]
 
-    def write_csv(self, out: TextIO, value_name: str = "delta") -> None:
+    def write_csv(self, out: TextIO) -> None:
         """Write the grid as CSV to `out`, a block of rows at a time.
 
         Metadata comes first as sorted `# key=value` lines, then the header
-        and one `axis1,axis2,value[,marker]` row per cell in row-major order.
+        and one `axis1,axis2,delta[,marker]` row per cell in row-major order.
         """
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
-        header = f"{self.axis1_name},{self.axis2_name},{value_name}"
+        header = f"{self.axis1_name},{self.axis2_name},delta"
         if self.marker_name is not None:
             header += f",{self.marker_name}"
         out.write("\n".join(lines + [header]) + "\n")
@@ -169,10 +169,10 @@ class DeltaGrid:
             sep = ",\n"
         out.write("\n}\n")
 
-    def to_csv_text(self, value_name: str = "delta") -> str:
+    def to_csv_text(self) -> str:
         """The text `write_csv` writes."""
         buf = io.StringIO()
-        self.write_csv(buf, value_name)
+        self.write_csv(buf)
         return buf.getvalue()
 
     def to_json_text(self) -> str:
@@ -211,7 +211,7 @@ def grid_from_json_dict(data: dict) -> DeltaGrid:
     ).reshape(n1, n2)
     markers = None
     if "markers" in data:
-        markers = np.array(data["markers"], dtype=int).reshape(n1, n2)
+        markers = np.array(data["markers"], dtype=np.int8).reshape(n1, n2)
     return DeltaGrid(
         axis1_name=data["axis1_name"],
         axis2_name=data["axis2_name"],

@@ -21,11 +21,14 @@ HERMITICITY_TOL = 1e-12
 def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and return m as a square complex Hermitian array.
 
-    Raises NotHermitian if the max off-symmetry entry exceeds tol.
+    Raises NotHermitian if an entry is not finite or the max off-symmetry
+    entry exceeds tol.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # a NaN asymmetry would pass the test below
+        raise NotHermitian("matrix has a non-finite entry")
     asym = np.abs(m - m.conj().T).max()
     if asym > tol:
         raise NotHermitian(f"max off-symmetry entry {asym:.3e} exceeds {tol:.1e}")
@@ -107,8 +110,8 @@ def random_density_matrix(dim: int, seed: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_hermitian(dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded random Hermitian matrix with N(0, scale) entries."""
+def random_hermitian(dim: int, seed: int) -> np.ndarray:
+    """Seeded random Hermitian matrix with N(0, 1) entries."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (g + g.conj().T)
+    return 0.5 * (g + g.conj().T)

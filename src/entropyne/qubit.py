@@ -144,7 +144,7 @@ def qubit_delta_record(p_norm: float, theta: float, bh: BlochHamiltonian,
 
 
 def qubit_delta_grid(p_norm: float, bh: BlochHamiltonian, theta_range: GridSpec,
-                     T_range: GridSpec, metadata: dict | None = None) -> DeltaGrid:
+                     T_range: GridSpec) -> DeltaGrid:
     """Distance parameter over an inclusive (theta, T) grid, row-major in theta."""
     thetas = theta_range.values()
     temps = T_range.values()
@@ -159,5 +159,4 @@ def qubit_delta_grid(p_norm: float, bh: BlochHamiltonian, theta_range: GridSpec,
         axis1_values=thetas,
         axis2_values=temps,
         cells=cells,
-        metadata=metadata or {},
     )

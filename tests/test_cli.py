@@ -304,13 +304,6 @@ def test_thread_count_determinism(fmt, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_threads_env_fallback():
-    env = dict(os.environ, ENTROPYNE_THREADS="4")
-    res = run_cli(QUBIT_ARGS, env=env, check=True)
-    base = run_cli(QUBIT_ARGS, check=True)
-    assert res.stdout == base.stdout
-
-
 def test_threads_do_not_recompute_cells(tmp_path, monkeypatch):
     from entropyne import _kernels
 
@@ -376,11 +369,36 @@ def test_bad_grid_spec_exits_2(args, capsys):
     assert captured.err.startswith("error: grid")
 
 
-def test_bad_threads_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("ENTROPYNE_THREADS", "abc")
-    assert main(QUBIT_ARGS) == 2
-    err = capsys.readouterr().err
-    assert err == "error: ENTROPYNE_THREADS must be an integer, got 'abc'\n"
+def test_threads_env_is_not_read():
+    # No environment variable configures the CLI, so a malformed
+    # ENTROPYNE_THREADS is no error.
+    env = dict(os.environ, ENTROPYNE_THREADS="abc")
+    for args in (["--version"],
+                 ["gaussian-z", "--omega1", "0.5", "--omega3", "0.5", "--beta", "1"],
+                 ["verify", "--quick"],
+                 QUBIT_ARGS):
+        res = run_cli(args, env=env)
+        assert (res.returncode, res.stderr) == (0, b""), args
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ["nan", "inf", "1+nanj", "-inf"])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_non_finite_matrix_entry_exits_2(entry, where, tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    write_matrix(good, np.eye(2, dtype=complex) / 2.0)
+    rows = [["0.5", "0"], ["0", "0.5"]]
+    if where == "diagonal":
+        rows[1][1] = entry
+    else:
+        rows[0][1] = rows[1][0] = entry
+    bad.write_text("2\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    for files in ([good, bad], [bad, good]):
+        assert main(["tsallis", "--rho-file", str(files[0]),
+                     "--sigma-file", str(files[1]), "--q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: malformed matrix file (non-finite entry)\n"
 
 
 def test_empty_matrix_file_exits_2(tmp_path, capsys):

@@ -73,12 +73,18 @@ def test_harmonic_matrix_is_number_operator():
                                QuadraticHamiltonian(omega0=0.7, omega1=0.6, omega2=0.2 + 0.3j,
                                                     omega3=0.4)])
 def test_hamiltonian_diagonal_without_the_matrix(h):
-    tr = FockTruncation(400, h.omega0)
-    want = np.diag(quadratic_hamiltonian_matrix(h, tr)).real
-    got = fock.quadratic_hamiltonian_diagonal(h, tr)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    # The last entry lacks the a adag term of the truncated p p and q q.
-    assert got[-1] < got[-2]
+    # number_basis_bands against the dense ladder products, in the basis of
+    # omega0 and in the matched basis sqrt(omega3/omega1).
+    for w in (h.omega0, math.sqrt(h.omega3 / h.omega1)):
+        hm = quadratic_hamiltonian_matrix(dataclasses.replace(h, omega0=w),
+                                          FockTruncation(400, w))
+        diag, off = fock.number_basis_bands(h, w, 400)
+        # The truncated p p and q q lack the a adag term in the last entry.
+        want = np.diag(hm).real[:-1]
+        assert np.all(np.abs(diag[:-1] - want) <= 2e-15 * np.abs(want))
+        want = np.abs(np.diag(hm, 2))
+        # Absolute part: the rounding of ladder products of size |diag|.
+        assert np.all(np.abs(off - want) <= 2e-15 * (np.abs(want) + np.abs(diag).max()))
 
 
 def test_su11_operator_form():

@@ -27,6 +27,17 @@ def test_check_hermitian_rejects_asymmetry():
         check_hermitian(m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(1.0, math.nan), -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_check_hermitian_rejects_non_finite_entry(entry, where):
+    # A NaN asymmetry compares false against any tol: the entry itself is checked.
+    m = np.eye(2, dtype=complex)
+    m[where] = m[where[::-1]] = entry
+    with pytest.raises(NotHermitian, match="non-finite"):
+        check_hermitian(m)
+
+
 def test_eigendecompose_identity():
     dec = eigendecompose(np.eye(2, dtype=complex))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0])
