@@ -111,18 +111,19 @@ def gaussian_log_z(beta, weff: float, omega2_im: float):
 
 
 def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
-                          weff: float, omega2_im: float) -> np.ndarray:
-    """Distance parameter of the thermal state over a (T, nbar) grid.
+                          weff: float) -> np.ndarray:
+    """Distance parameter of thermal light over a (T, nbar) grid.
 
-    k0 = w0 w1 + w3/w0; weff and omega2_im are those of `gaussian_log_z`.
-    Rows are T, columns nbar; NaN marks cells without a convergent partition
-    function.  A cell past the double range is inf or NaN, without a warning.
+    k0 = w0 w1 + w3/w0 and weff is that of `gaussian_log_z`; Im(w2) adds to
+    the energy what it takes from T ln Z, so it is left out.  Rows are T,
+    columns nbar; NaN marks cells without a convergent partition function.
+    A cell past the double range is inf or NaN, without a warning.
     """
     t = np.ascontiguousarray(temps, dtype=np.float64)
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lnz = gaussian_log_z(1.0 / t, weff, omega2_im)
-        energy = k0 * (1.0 + 2.0 * nb) / 2.0 + omega2_im
+        lnz = gaussian_log_z(1.0 / t, weff, 0.0)
+        energy = k0 * (1.0 + 2.0 * nb) / 2.0
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
         # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.

@@ -1,12 +1,14 @@
 """Degenerate parametric amplifier worked example.
 
 The amplifier Hamiltonian w0(adag a + 1/2) - k(adag^2 e^{-iwt} + a^2 e^{iwt})
-is frozen at a caller-supplied time t and mapped to quadratic-form
-coefficients; the probe state is thermal light of mean photon number nbar.
-The (T, nbar) surface of the distance parameter has its per-nbar minimum at
-the temperature where the thermal state of the amplifier matches the probe
-entropy.  The surface and the minimizer (by `_kernels.argmin_rounds`, the
-package's one) both evaluate the distance with `_kernels.amplifier_delta_cells`.
+is frozen at a caller-supplied time t; `amplifier_hamiltonian` maps it to
+quadratic-form coefficients.  Against thermal light of mean photon number
+nbar, the distance depends on w0 and k alone, whatever t and w: the probe's
+energy per quantum is k0 = w0 w1 + w3/w0 = w0, and the Gibbs state is an
+oscillator of frequency `effective_frequency(cfg)`.  The (T, nbar) surface
+has its per-nbar minimum where the amplifier's Gibbs entropy matches the
+probe's.  The surface and the minimizer (`_kernels.argmin_rounds`, the
+package's one) both evaluate `_kernels.amplifier_delta_cells` on w0, omega_eff.
 """
 
 from __future__ import annotations
@@ -70,24 +72,23 @@ def amplifier_hamiltonian(cfg: AmplifierConfig) -> QuadraticHamiltonian:
         omega0=cfg.omega0,
         omega1=0.5 + (cfg.k / cfg.omega0) * c,
         omega2=complex(cfg.k * s, 0.0),
-        omega3=cfg.omega0**2 / 2.0 - cfg.k * cfg.omega0 * c,
+        omega3=cfg.omega0 * cfg.omega0 / 2.0 - cfg.k * cfg.omega0 * c,
     )
 
 
-def _require_convergent(cfg: AmplifierConfig) -> None:
-    """Raise DivergentPartition unless 2k < omega0.
+def effective_frequency(cfg: AmplifierConfig) -> float:
+    """omega_eff = sqrt(omega0^2 - 4k^2), the same at every frozen time.
 
-    At every frozen time omega_eff^2 = omega0^2 - 4k^2, so no partition
-    function converges once 2k >= omega0.  The form rule alone misses the
-    marginal case 2k = omega0: amplifier_hamiltonian rounds omega1, omega3
-    and Re omega2 from cos/sin, which can leave omega1 omega3 - (Re omega2)^2
-    a few ulps above 0.  This comparison is exact.
+    Raises DivergentPartition unless 2k < omega0, an exact comparison.  The
+    factors omega0 -+ 2k are rooted apart, so omega0^2 is never formed and
+    omega0 - 2k is exact near the marginal case.
     """
     if 2.0 * cfg.k >= cfg.omega0:
         raise DivergentPartition(
             f"k = {cfg.k} >= omega0/2 = {cfg.omega0 / 2.0}: "
             "no convergent partition function"
         )
+    return math.sqrt(cfg.omega0 - 2.0 * cfg.k) * math.sqrt(cfg.omega0 + 2.0 * cfg.k)
 
 
 def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState:
@@ -129,12 +130,9 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         raise DomainError("temperature range must be strictly positive")
     if nbars.min() < 0.0:
         raise DomainError("nbar range must be nonnegative")
-    _require_convergent(cfg)
-    h = amplifier_hamiltonian(cfg)
-    weff = h.effective_frequency
-    cells = _kernels.amplifier_delta_cells(temps, nbars, h.k0_coefficient, weff, h.omega2.imag)
+    cells = _kernels.amplifier_delta_cells(temps, nbars, cfg.omega0, effective_frequency(cfg))
     # A convergent form's cells are finite unless T ln Z or 1/T passes 1.8e308.
-    if not (math.isnan(weff) or np.isfinite(cells).all()):
+    if not np.isfinite(cells).all():
         raise NumericalFailure("Delta overflows a double on this grid (T ln Z or 1/T)")
     return DeltaGrid(
         axis1_name="T",
@@ -182,9 +180,7 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
         raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar <= 0.0:
         raise DomainError("nbar must be positive")
-    _require_convergent(cfg)
-    h = amplifier_hamiltonian(cfg)
-    form = (np.array([nbar]), h.k0_coefficient, h.effective_frequency, h.omega2.imag)
+    form = (np.array([nbar]), cfg.omega0, effective_frequency(cfg))
     # Looked up per call, so a replaced kernel (tracing, tests) is the one run.
     t_star = _kernels.argmin_rounds(
         lambda temps: _kernels.amplifier_delta_cells(temps, *form)[:, 0], lo, hi,

@@ -169,6 +169,8 @@ def cmd_tsallis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     results = verify.run_verification(seed=args.seed, quick=args.quick)
     failed = False
     for res in results:

@@ -121,7 +121,7 @@ class TsallisSeries:
 
 
 def _series(w, a, lam, mu) -> TsallisSeries:
-    if lam.min() <= 1e-14 or mu.min() <= 1e-14:
+    if lam.min() <= 1e-14 or mu.min() <= SUPPORT_EPS:
         raise SupportDeficient("both states must have full support")
     return TsallisSeries(order0=float((w * a).sum()),
                          order1=float((w * a**2).sum()) / 2.0,
@@ -150,7 +150,7 @@ class SeriesReport:
 
 def tsallis_series_report(rho: np.ndarray, sigma: np.ndarray, deltas) -> SeriesReport:
     """The series and each S_{1+delta} from one pair spectrum; no slope for
-    fewer than two deltas, or when a residual is infinite or at the floor."""
+    fewer than two distinct deltas, or when a residual is infinite or at the floor."""
     w, a, lam, mu, escapes = _pair_spectrum(rho, sigma)
     series = _series(w, a, lam, mu)
     values = tuple(_tsallis(w, a, mu, escapes, 1.0 + d) for d in deltas)
@@ -158,7 +158,7 @@ def tsallis_series_report(rho: np.ndarray, sigma: np.ndarray, deltas) -> SeriesR
     scale = float((w * (np.abs(np.log(lam))[:, None] + np.abs(np.log(mu)))).sum())
     floor = RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * scale
     slope = None
-    if len(deltas) >= 2 and floor < resid.min() and resid.max() < np.inf:
+    if len(set(deltas)) >= 2 and floor < resid.min() and resid.max() < np.inf:
         slope = float(np.polyfit(np.log(deltas), np.log(resid), 1)[0])
     return SeriesReport(series=series, values=values, slope=slope)
 

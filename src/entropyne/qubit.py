@@ -30,12 +30,12 @@ class BlochState:
         object.__setattr__(self, "p", p)
         if p.shape != (3,):
             raise ValueError("p must be a 3-vector")
-        if np.linalg.norm(p) > 1.0 + 1e-12:
-            raise BlochNormExceeded(f"|p| = {np.linalg.norm(p)} > 1")
+        if self.norm > 1.0 + 1e-12:
+            raise BlochNormExceeded(f"|p| = {self.norm} > 1")
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.p))
+        return math.hypot(*self.p)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class BlochHamiltonian:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.h))
+        return math.hypot(*self.h)
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,48 @@ def test_argmin_rejects_divergent_amplifier(cfg):
         delta_argmin_temperature(cfg, 1.0, (0.1, 10.0))
 
 
+# The pump frequency and the frozen time move omega1, omega2 and omega3 but
+# not k0 = omega0 or omega_eff, so they change no cell and no T*.
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.7])
+@pytest.mark.parametrize("omega", [1.0, 3.0, 7.5])
+def test_surface_and_argmin_do_not_depend_on_t_or_omega(t, omega):
+    base = AmplifierConfig(omega0=1.3, k=0.2)
+    cfg = AmplifierConfig(omega0=1.3, k=0.2, omega=omega, t=t)
+    temps, nbars = GridSpec(0.2, 10.0, 40), GridSpec(0.2, 10.0, 30)
+    surface = amplifier_delta_surface(cfg, temps, nbars)
+    expected = amplifier_delta_surface(base, temps, nbars)
+    assert np.array_equal(surface.cells, expected.cells)
+    assert np.array_equal(surface.markers, expected.markers)
+    for nbar in (0.5, 2.0):
+        assert (delta_argmin_temperature(cfg, nbar, (0.1, 20.0))
+                == delta_argmin_temperature(base, nbar, (0.1, 20.0)))
+
+
+@pytest.mark.parametrize("j", [-1000, -500, 500, 1000])
+def test_surface_scales_with_omega0_k_and_temperature(j):
+    # Delta is homogeneous of degree 1 in (omega0, k, T).  Scaling by 2^j is
+    # exact in every step, past the range where omega0^2 is a double.
+    s = 2.0 ** j
+    nbars = GridSpec(0.2, 10.0, 30)
+    base = amplifier_delta_surface(AmplifierConfig(omega0=1.3, k=0.2, t=0.3),
+                                   GridSpec(0.2, 10.0, 40), nbars)
+    scaled = amplifier_delta_surface(AmplifierConfig(omega0=s * 1.3, k=s * 0.2, t=0.3),
+                                     GridSpec(s * 0.2, s * 10.0, 40), nbars)
+    assert np.array_equal(scaled.cells, s * base.cells)
+    assert np.array_equal(scaled.markers, base.markers)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 1.3])
+def test_effective_frequency_near_marginal(omega0):
+    mpmath = pytest.importorskip("mpmath")
+    for j in range(1, 15):
+        k = omega0 / 2.0 - 10.0 ** -j
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.mpf(omega0) ** 2 - 4 * mpmath.mpf(k) ** 2)
+        weff = amplifier.effective_frequency(AmplifierConfig(omega0=omega0, k=k, t=1.0))
+        assert abs(weff - float(exact)) <= 4.0 * math.ulp(float(exact)), (j, weff)
+
+
 def test_argmin_k0_exact():
     t_star = delta_argmin_temperature(AmplifierConfig(k=0.0), 2.0, (0.1, 20.0))
     assert abs(t_star - 1.0 / math.log(1.5)) < 1e-4

@@ -193,6 +193,23 @@ def test_tsallis_series_rounding_residue_prints_no_slope(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_tsallis_series_repeated_delta_prints_no_slope(tmp_path, capsys):
+    rho, sigma = write_state_pair(tmp_path)
+    assert main(["tsallis", "--rho-file", rho, "--sigma-file", sigma,
+                 "--delta-series", "0.1,0.1"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3 + 2
+    assert "residual_slope=" not in captured.out
+    assert captured.err == ""
+
+
+def test_tsallis_series_sigma_below_support_threshold_exits_3(tmp_path, capsys):
+    rho, sigma = write_state_pair(tmp_path, np.eye(2) / 2.0, np.diag([1.0 - 1e-13, 1e-13]))
+    err = assert_one_error_line(["tsallis", "--rho-file", rho, "--sigma-file", sigma,
+                                 "--delta-series"], capsys)
+    assert "full support" in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["qubit-grid", "--p-norm", "0.5"]) == 2  # missing required flags
     assert main(QUBIT_ARGS[:-2] + ["--temp", "-1:1:5"]) == 2  # mixed-sign T
@@ -267,6 +284,23 @@ def test_amplifier_grid_overflow_exits_3(temp, fmt, capsys):
     assert "overflows" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega0", ["1e-300", "1e-200", "2e154", "1e300"])
+def test_amplifier_grid_extreme_omega0(omega0, capsys):
+    # omega0^2 leaves the double range at each of these, but omega_eff and
+    # every cell are finite.
+    k, temp = repr(0.1 * float(omega0)), f"{0.2 * float(omega0)!r}:{10 * float(omega0)!r}:5"
+    assert main(["amplifier-grid", "--omega0", omega0, "--k", k, "--temp", temp,
+                 "--nbar", "0.2:10:4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [ln for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
+    cells = [float(row.split(",")[2]) for row in rows]
+    assert len(cells) == 20 and all(math.isfinite(c) for c in cells)
+    assert main(["amplifier-grid", "--omega0", omega0, "--k", "0", "--nbar", "0.2:10:4"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 AMPLIFIER_ARGS = ["amplifier-grid", "--temp", "1:2:2", "--nbar", "1:2:2"]
 
 
@@ -284,6 +318,25 @@ def test_non_finite_parameter_exits_3(args, field, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {field} must be ")
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_verify_negative_seed_exits_2(seed, capsys):
+    assert main(["verify", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --seed")
+
+
+@pytest.mark.filterwarnings("error")
+def test_qubit_grid_huge_h_norm(capsys):
+    # |h| = 1e200 squares past the double range; the grid stays finite.
+    assert main(["qubit-grid", "--p-norm", "0.5", "--h-norm", "1e200", "--theta", "0:3:2",
+                 "--temp", "1e199:1e201:3"]) == 0
+    captured = capsys.readouterr()
+    rows = [ln for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
+    assert len(rows) == 6 and all(math.isfinite(float(row.split(",")[2])) for row in rows)
+    assert captured.err == ""
 
 
 def test_verify_quick_passes(capsys):

@@ -141,6 +141,17 @@ def test_series_rejects_rank_deficiency():
         tsallis_series(np.diag([1.0, 0.0]).astype(complex), DIAG_SIGMA)
 
 
+def test_series_rejects_sigma_below_support_threshold():
+    # mu = 1e-13 is on sigma's kernel (ln mu := 0 there), so order0 would read
+    # -ln 2 in place of 14.27: the series rejects sigma instead.
+    sigma = np.diag([1.0 - 1e-13, 1e-13]).astype(complex)
+    for states in ((np.eye(2, dtype=complex) / 2.0, sigma), (sigma, sigma)):
+        with pytest.raises(SupportDeficient):
+            tsallis_series(*states)
+        with pytest.raises(SupportDeficient):
+            tsallis_series_report(*states, SERIES_DELTAS)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_series_cubic_residual(seed):
     rho = random_density_matrix(4, seed)
@@ -220,6 +231,13 @@ def test_series_report_no_slope_at_rounding_floor():
     floor = rounding_floor(rho, rho)
     assert 0.0 < max(resid) <= floor
     assert floor <= 64 * np.finfo(float).eps * 2.0 * von_neumann_entropy(rho) * 1.01
+    assert report.slope is None
+
+
+def test_series_report_no_slope_for_one_distinct_delta():
+    # Two equal deltas are one point: no line to fit.
+    report = tsallis_series_report(DIAG_RHO, DIAG_SIGMA, [0.1, 0.1])
+    assert report.values[0] == report.values[1]
     assert report.slope is None
 
 

@@ -86,7 +86,7 @@ NAMED_FORMS = {
 
 def check_cells_against_scalar(h, temps):
     cells = _kernels.amplifier_delta_cells(temps, NBARS, h.k0_coefficient,
-                                           h.effective_frequency, h.omega2.imag)
+                                           h.effective_frequency)
     for i, t in enumerate(temps):
         for j, nbar in enumerate(NBARS):
             state = thermal_light_covariance(ThermalLight(nbar), h.omega0)
@@ -215,8 +215,8 @@ def broadcast_amplifier_cells(temps, nbars, h):
     nb = nbars[None, :]
     k0 = h.omega0 * h.omega1 + h.omega3 / h.omega0
     weff = _kernels.effective_frequency(h.omega1, h.omega2.real, h.omega3)
-    lnz = _kernels.gaussian_log_z(1.0 / temps, weff, h.omega2.imag)[:, None]
-    energy = k0 * (1.0 + 2.0 * nb) / 2.0 + h.omega2.imag
+    lnz = _kernels.gaussian_log_z(1.0 / temps, weff, 0.0)[:, None]
+    energy = k0 * (1.0 + 2.0 * nb) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
@@ -241,7 +241,7 @@ def test_kernels_bit_identical_to_broadcast_expression():
                   NAMED_FORMS["negative-definite-half"]):
             for t in (amp_temps, WIDE_TEMPS):
                 cells = _kernels.amplifier_delta_cells(t, nbars, h.k0_coefficient,
-                                                       h.effective_frequency, h.omega2.imag)
+                                                       h.effective_frequency)
                 assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
                                       equal_nan=True)
                 assert np.isnan(cells).all() == (h is NAMED_FORMS["negative-definite-half"])

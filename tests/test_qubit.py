@@ -180,6 +180,20 @@ def test_grid_constant_in_theta_at_p_zero():
     assert np.allclose(grid.cells, grid.cells[0], atol=1e-14)
 
 
+@pytest.mark.parametrize("j", [520, 600, 1000])
+@pytest.mark.parametrize("h", [[0.0, 0.0, H_NORM], [1.0, 2.0, 2.0]])
+def test_grid_scales_with_h_and_temperature(j, h):
+    # With h0 = 0, Delta is homogeneous of degree 1 in (h, T), and scaling by
+    # 2^j is exact; |h| is past 1.34e154, where its square overflows.
+    s = 2.0 ** j
+    thetas = GridSpec(0.0, math.pi, 7)
+    base = qubit_delta_grid(0.5, BlochHamiltonian(h0=0.0, h=np.array(h)), thetas,
+                            GridSpec(0.5, 5.0, 9))
+    scaled = qubit_delta_grid(0.5, BlochHamiltonian(h0=0.0, h=s * np.array(h)), thetas,
+                              GridSpec(s * 0.5, s * 5.0, 9))
+    assert np.array_equal(scaled.cells, s * base.cells)
+
+
 @pytest.mark.parametrize("p_norm", [0.01, 0.1, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("h_norm", [1.0, H_NORM])
 @pytest.mark.parametrize("sign", [1, -1])
