@@ -54,16 +54,10 @@ from .errors import (
     ZeroTemperature,
 )
 from .fock import (
-    FockTruncation,
     KernelMoments,
-    annihilation_matrix,
-    exponential_diagonal,
     kernel_moments,
-    ladder_matrices,
-    quadratic_hamiltonian_matrix,
     stable_partition,
     thermal_light_fock,
-    truncated_partition,
 )
 from .gaussian import (
     CovarianceState,
@@ -148,16 +142,10 @@ __all__ = [
     "UnsupportedQ",
     "ZeroTemperature",
     # fock
-    "FockTruncation",
     "KernelMoments",
-    "annihilation_matrix",
-    "exponential_diagonal",
     "kernel_moments",
-    "ladder_matrices",
-    "quadratic_hamiltonian_matrix",
     "stable_partition",
     "thermal_light_fock",
-    "truncated_partition",
     # gaussian
     "CovarianceState",
     "GaussianParams",

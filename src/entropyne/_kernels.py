@@ -123,7 +123,7 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lnz = gaussian_log_z(1.0 / t, weff, 0.0)
-        energy = k0 * (1.0 + 2.0 * nb) / 2.0
+        energy = k0 * (0.5 + nb)  # k0 (1 + 2 nb) overflows first near 1.8e308
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
         # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.

@@ -81,14 +81,18 @@ def effective_frequency(cfg: AmplifierConfig) -> float:
 
     Raises DivergentPartition unless 2k < omega0, an exact comparison.  The
     factors omega0 -+ 2k are rooted apart, so omega0^2 is never formed and
-    omega0 - 2k is exact near the marginal case.
+    omega0 - 2k is exact near the marginal case.  Only where omega0 + 2k
+    overflows are the quartered factors rooted and the product scaled by 4.
     """
     if 2.0 * cfg.k >= cfg.omega0:
         raise DivergentPartition(
             f"k = {cfg.k} >= omega0/2 = {cfg.omega0 / 2.0}: "
             "no convergent partition function"
         )
-    return math.sqrt(cfg.omega0 - 2.0 * cfg.k) * math.sqrt(cfg.omega0 + 2.0 * cfg.k)
+    if math.isfinite(cfg.omega0 + 2.0 * cfg.k):
+        return math.sqrt(cfg.omega0 - 2.0 * cfg.k) * math.sqrt(cfg.omega0 + 2.0 * cfg.k)
+    quarter, half_k = cfg.omega0 / 4.0, cfg.k / 2.0
+    return 4.0 * math.sqrt(quarter - half_k) * math.sqrt(quarter + half_k)
 
 
 def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState:

@@ -11,9 +11,11 @@ The levels that carry e^{-beta lambda} above 1e-12 of Z are exact in such
 blocks: every form with beta * omega_eff >= 0.8 and |Re omega2| <= 0.6
 sqrt(omega1 omega3) settles at the first three sizes, so a trace of such a
 form costs the same whichever it is; hotter or more squeezed forms grow
-further.  The explicit ladder-operator matrices and their dense
-eigendecompositions remain for the other checks.  The kernel
-convention is rho(x, y) = <x|rho|y> with
+further.  boltzmann_diagonal reads <n|e^{-beta H}|n> off the eigenvectors
+of the same blocks in the number basis of frequency omega0.  The dense
+ladder-operator products of the same H stay in the tests, as the
+independent check of these bands.  The kernel convention is
+rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
-from .hermitian import check_hermitian
 
 # Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...  Its
 # n_cap is at least N_CAP_MIN, the lower size of the second step (the first
@@ -46,63 +47,6 @@ MOMENT_STABILITY_TOL = 1e-10
 MOMENT_MAX_DOUBLINGS = 4
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    n_max: int
-    omega0: float
-
-    def __post_init__(self) -> None:
-        if self.n_max < 2:
-            raise ValueError("n_max must be >= 2")
-        if self.omega0 <= 0.0:
-            raise ValueError("omega0 must be positive")
-
-
-def annihilation_matrix(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max, n_max), dtype=complex)
-    for n in range(1, n_max):
-        a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def ladder_matrices(tr: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature matrices (p, q) with p = i sqrt(w0/2)(adag - a), q = (a+adag)/sqrt(2 w0)."""
-    a = annihilation_matrix(tr.n_max)
-    ad = a.conj().T
-    p = 1j * np.sqrt(tr.omega0 / 2.0) * (ad - a)
-    q = (a + ad) / np.sqrt(2.0 * tr.omega0)
-    return p, q
-
-
-def quadratic_hamiltonian_matrix(h: QuadraticHamiltonian,
-                                 tr: FockTruncation) -> np.ndarray:
-    """H = w1 p^2 + w2 p q + w2* q p + w3 q^2 as an explicit matrix.
-
-    Written as w1 p^2 + Re w2 (p q + q p) + Im w2 + w3 q^2, which uses
-    [p, q] = -i exactly: the truncated p q - q p is wrong in its last
-    diagonal entry, which would shift the last level by about -Im w2 N.
-    """
-    if tr.omega0 != h.omega0:
-        raise ValueError("truncation and Hamiltonian must share omega0")
-    p, q = ladder_matrices(tr)
-    m = h.omega1 * (p @ p) + h.omega2.real * (p @ q + q @ p) \
-        + h.omega2.imag * np.eye(tr.n_max) + h.omega3 * (q @ q)
-    return check_hermitian(m, tol=1e-10)
-
-
-def truncated_partition(hm: np.ndarray, beta: float) -> tuple[float, float]:
-    """Sum of e^{-beta lambda} over the truncated spectrum.
-
-    Returns (value, last_level_contribution); the second entry is the
-    truncation-error estimate.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    w = np.linalg.eigvalsh(hm)
-    terms = np.exp(-beta * w)
-    return float(terms.sum()), float(terms[-1])
-
-
 def number_basis_bands(h: QuadraticHamiltonian, w: float,
                        n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """H's two nonzero bands on the lowest n_max levels of the number basis of
@@ -114,8 +58,8 @@ def number_basis_bands(h: QuadraticHamiltonian, w: float,
         c = (omega3/w - omega1 w)/2 + i Re omega2,
 
     so H couples |n> only to |n +- 2>, with |c| sqrt((n+1)(n+2)).  These are
-    the entries of the untruncated H: the truncated ladder product in
-    quadratic_hamiltonian_matrix differs in its last diagonal entry.
+    the entries of the untruncated H: a truncated product of ladder matrices
+    (the tests' dense reference) differs in its last diagonal entry.
     """
     n = np.arange(n_max, dtype=float)
     diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
@@ -124,26 +68,49 @@ def number_basis_bands(h: QuadraticHamiltonian, w: float,
     return diag, off
 
 
+def _parity_blocks(h: QuadraticHamiltonian, w: float, n_max: int) -> np.ndarray:
+    """H on the lowest n_max (even) levels of the number basis of frequency w,
+    as two stacked real symmetric blocks of n_max/2 rows.
+
+    By number_basis_bands the even-n and odd-n levels form two Hermitian
+    tridiagonal blocks, and a diagonal phase gauge makes their off-diagonals
+    |H_{n,n+2}|.  numpy.linalg.eigvalsh and eigh read only the lower
+    triangle, so only the diagonal and the subdiagonal are filled.  Block p
+    holds the levels of parity p.
+    """
+    diag, off = number_basis_bands(h, w, n_max)
+    m = n_max // 2
+    blocks = np.zeros((2, m * m))
+    blocks[:, ::m + 1] = diag.reshape(m, 2).T
+    blocks[:, m::m + 1] = off.reshape(m - 1, 2).T
+    return blocks.reshape(2, m, m)
+
+
 def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     """Sorted spectrum of H on the lowest n_max (even) levels of the matched basis.
 
     The spectrum does not depend on the basis scale, so the number basis of
     frequency w = sqrt(omega3/omega1) is used: it minimizes the squeezing
     between basis and Hamiltonian and with it the truncation edge artifacts.
-    By number_basis_bands the even-n and odd-n levels form two Hermitian
-    tridiagonal blocks of n_max/2 rows, and a diagonal phase gauge makes
-    their off-diagonals |H_{n,n+2}|.  Both blocks go to one stacked
-    numpy.linalg.eigvalsh call as small dense real symmetric matrices;
-    eigvalsh reads only the lower triangle, so only the diagonal and the
-    subdiagonal are filled.
+    Both parity blocks go to one stacked numpy.linalg.eigvalsh call.
     """
-    diag, off = number_basis_bands(h, np.sqrt(h.omega3 / h.omega1), n_max)
-    m = n_max // 2
-    # Row p of diag.reshape(m, 2).T holds the levels of parity p.
-    blocks = np.zeros((2, m * m))
-    blocks[:, ::m + 1] = diag.reshape(m, 2).T
-    blocks[:, m::m + 1] = off.reshape(m - 1, 2).T
-    return np.sort(np.linalg.eigvalsh(blocks.reshape(2, m, m)), axis=None)
+    blocks = _parity_blocks(h, np.sqrt(h.omega3 / h.omega1), n_max)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+
+def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
+                       n_max: int) -> np.ndarray:
+    """<n|e^{-beta H}|n> for n < n_max (even, >= 2) in the number basis of
+    frequency omega0, from numpy.linalg.eigh of the two parity blocks.
+
+    The phase gauge of _parity_blocks is diagonal, so it leaves the diagonal
+    of e^{-beta H} unchanged.  Levels near n_max carry the truncation error.
+    """
+    if n_max < 2 or n_max % 2:
+        raise ValueError(f"n_max must be even and >= 2, got {n_max}")
+    w, v = np.linalg.eigh(_parity_blocks(h, h.omega0, n_max))
+    # Row p holds the diagonal at the levels of parity p: n = 2j + p.
+    return np.einsum("pjk,pk->pj", v * v, np.exp(-beta * w)).T.reshape(n_max)
 
 
 def stable_partition(h: QuadraticHamiltonian, beta: float,
@@ -195,12 +162,6 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
     raise TruncationUnstable(
         f"partition sum not stable by n_max = {n_cap} (beta = {beta})"
     )
-
-
-def exponential_diagonal(hm: np.ndarray, beta: float) -> np.ndarray:
-    """Diagonal of e^{-beta H} via dense eigendecomposition."""
-    w, v = np.linalg.eigh(hm)
-    return np.einsum("nk,k,nk->n", v, np.exp(-beta * w), v.conj()).real
 
 
 def thermal_light_fock(nbar: float, n_max: int) -> np.ndarray:

@@ -218,8 +218,7 @@ def check_legendre_diagonal(seed: int, quick: bool) -> FamilyResult:
     cfg = amplifier.AmplifierConfig()
     h = amplifier.amplifier_hamiltonian(cfg)
     beta = 1.0
-    hm = fock.quadratic_hamiltonian_matrix(h, fock.FockTruncation(300, h.omega0))
-    diag = fock.exponential_diagonal(hm, beta)
+    diag = fock.boltzmann_diagonal(h, beta, 300)
     worst = 0.0
     for n in range(31):
         closed = gaussian.fock_diagonal_element(h, beta, n)

@@ -37,12 +37,7 @@ from entropyne import (
     tsallis_relative_entropy,
     tsallis_series,
 )
-from entropyne.fock import (
-    FockTruncation,
-    exponential_diagonal,
-    quadratic_hamiltonian_matrix,
-    stable_partition,
-)
+from entropyne.fock import stable_partition
 from entropyne.gaussian import (
     QuadraticHamiltonian,
     covariance_from_params,
@@ -51,6 +46,8 @@ from entropyne.gaussian import (
     random_quadratic_hamiltonian,
 )
 from entropyne.verify import refine_zero_temperature
+
+from dense_fock import FockTruncation, exponential_diagonal, quadratic_hamiltonian_matrix
 
 SEED = 2024
 H_NORM = math.sqrt(14.0)

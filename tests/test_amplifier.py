@@ -11,7 +11,6 @@ from entropyne import (
     BracketError,
     DivergentPartition,
     DomainError,
-    FockTruncation,
     GridSpec,
     ThermalLight,
     amplifier_delta_surface,
@@ -22,13 +21,14 @@ from entropyne import (
     mean_energy,
     nbar_from_temperature,
     purity,
-    quadratic_hamiltonian_matrix,
     stable_partition,
     thermal_light_covariance,
     thermal_light_fock,
 )
 from entropyne import _kernels, amplifier, grid_from_json_dict
 from entropyne.amplifier import _argmin_markers
+
+from dense_fock import FockTruncation, quadratic_hamiltonian_matrix
 
 CFG = AmplifierConfig()  # omega0=omega_t=1, omega=3, k=0.1, t=0
 
@@ -215,6 +215,18 @@ def test_effective_frequency_near_marginal(omega0):
             exact = mpmath.sqrt(mpmath.mpf(omega0) ** 2 - 4 * mpmath.mpf(k) ** 2)
         weff = amplifier.effective_frequency(AmplifierConfig(omega0=omega0, k=k, t=1.0))
         assert abs(weff - float(exact)) <= 4.0 * math.ulp(float(exact)), (j, weff)
+
+
+@pytest.mark.parametrize("omega0", [1e308, 1.5e308, 1.7976931348623157e308])
+def test_effective_frequency_where_omega0_plus_2k_overflows(omega0):
+    mpmath = pytest.importorskip("mpmath")
+    for frac in (0.4, 0.45, 0.49, 0.5 - 1e-12):
+        k = frac * omega0
+        assert not math.isfinite(omega0 + 2.0 * k)
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.mpf(omega0) ** 2 - 4 * mpmath.mpf(k) ** 2)
+        weff = amplifier.effective_frequency(AmplifierConfig(omega0=omega0, k=k))
+        assert abs(weff - float(exact)) <= 2.0 * math.ulp(float(exact)), (frac, weff)
 
 
 def test_argmin_k0_exact():

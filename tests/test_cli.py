@@ -301,6 +301,19 @@ def test_amplifier_grid_extreme_omega0(omega0, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_amplifier_grid_omega0_plus_2k_overflows(capsys):
+    # omega0 + 2k and k0 (1 + 2 nbar) pass the double range; omega_eff and
+    # every cell do not.
+    assert main(["amplifier-grid", "--omega0", "1.5e308", "--k", "5e307",
+                 "--temp", "1e300:1e301:2", "--nbar", "0:0.1:2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [ln for ln in captured.out.splitlines() if not ln.startswith("#")][1:]
+    cells = [float(row.split(",")[2]) for row in rows]
+    assert len(cells) == 4 and all(math.isfinite(c) and c > 1e307 for c in cells)
+
+
 AMPLIFIER_ARGS = ["amplifier-grid", "--temp", "1:2:2", "--nbar", "1:2:2"]
 
 

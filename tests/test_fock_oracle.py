@@ -9,21 +9,26 @@ import scipy.linalg
 
 from entropyne import fock
 from entropyne import (
-    FockTruncation,
     GaussianParams,
     QuadraticHamiltonian,
     TruncationUnstable,
-    annihilation_matrix,
-    exponential_diagonal,
     kernel_moments,
-    ladder_matrices,
     partition_function,
-    quadratic_hamiltonian_matrix,
     stable_partition,
     thermal_light_fock,
+)
+from entropyne.amplifier import AmplifierConfig, amplifier_hamiltonian
+from entropyne.errors import DomainError
+from entropyne.gaussian import fock_diagonal_element, random_quadratic_hamiltonian
+
+from dense_fock import (
+    FockTruncation,
+    annihilation_matrix,
+    exponential_diagonal,
+    ladder_matrices,
+    quadratic_hamiltonian_matrix,
     truncated_partition,
 )
-from entropyne.gaussian import random_quadratic_hamiltonian
 
 
 def oscillator(omega0: float) -> QuadraticHamiltonian:
@@ -264,6 +269,45 @@ def test_exponential_diagonal_harmonic():
     diag = exponential_diagonal(hm, 1.0)
     n = np.arange(40)
     assert np.abs(diag[:40] - np.exp(-(n + 0.5))).max() <= 1e-10
+
+
+# Forms for boltzmann_diagonal: the amplifier at three frozen times, and one
+# form with Im(omega2) != 0 whose xi passes 1 at beta = 2.
+DIAGONAL_FORMS = [amplifier_hamiltonian(AmplifierConfig(t=t)) for t in (0.0, 0.3, 1.0)] + [
+    QuadraticHamiltonian(omega0=1.0, omega1=0.7, omega2=0.25 + 0.4j, omega3=0.5)]
+
+
+@pytest.mark.parametrize("h", DIAGONAL_FORMS)
+def test_boltzmann_diagonal_matches_dense(h):
+    hm = quadratic_hamiltonian_matrix(h, FockTruncation(200, h.omega0))
+    for beta in (0.5, 1.0, 2.0):
+        diag = fock.boltzmann_diagonal(h, beta, 200)
+        assert np.abs(diag[:31] - exponential_diagonal(hm, beta)[:31]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("h", DIAGONAL_FORMS)
+def test_boltzmann_diagonal_matches_closed_form(h):
+    for beta in (0.5, 1.0, 2.0):
+        diag = fock.boltzmann_diagonal(h, beta, 200)
+        try:
+            closed = [fock_diagonal_element(h, beta, n) for n in range(31)]
+        except DomainError:  # xi >= 1: the Legendre argument is not real
+            assert h.omega2.imag != 0.0 and beta == 2.0
+            continue
+        assert np.abs(diag[:31] - closed).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_max", [2, 60])
+def test_boltzmann_diagonal_harmonic(n_max):
+    n = np.arange(n_max)
+    diag = fock.boltzmann_diagonal(oscillator(1.0), 1.0, n_max)
+    assert np.abs(diag - np.exp(-(n + 0.5))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_max", [-2, 0, 1, 3, 201])
+def test_boltzmann_diagonal_rejects_odd_or_small_size(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        fock.boltzmann_diagonal(oscillator(1.0), 1.0, n_max)
 
 
 @pytest.mark.parametrize("nbar", [0.3, 1.0, 4.0])

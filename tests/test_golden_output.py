@@ -40,7 +40,7 @@ CASES = {
     "amplifier-markers-json": (
         AMPLIFIER + ["--temp", "0.5:5:6", "--nbar", "0.5:4:5"] + JSON,
         "3f734be9b3d977542c658752bf7c58216009e5d49b24cc47dc154eeddabb16f6"),
-    # A marginal form: w1 w3 - Re(w2)^2 is exactly 0, so every cell diverges.
+    # Marginal: 2k = omega0, so the grid exits 3 (every cell diverges) at any t.
     "amplifier-divergent-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
         DIVERGED),
@@ -48,8 +48,8 @@ CASES = {
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
         DIVERGED),
-    # Also marginal (k = omega0/2), but at t = 1 the rounded coefficients put
-    # w1 w3 - Re(w2)^2 about 20 ulps above 0.
+    # The same marginal k at t = 1: the 2k >= omega0 test does not read t, so
+    # this exits 3 as well.
     "amplifier-marginal-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
         DIVERGED),

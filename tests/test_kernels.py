@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entropyne import _kernels
+from entropyne import gaussian
 from entropyne.amplifier import (AmplifierConfig, ThermalLight, amplifier_hamiltonian,
                                  thermal_light_covariance)
 from entropyne.errors import DomainError, HyperbolicDomain
@@ -245,6 +246,30 @@ def test_kernels_bit_identical_to_broadcast_expression():
                 assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
                                       equal_nan=True)
                 assert np.isnan(cells).all() == (h is NAMED_FORMS["negative-definite-half"])
+
+
+def test_scalar_delta_is_the_kernel_at_length_1():
+    # Bit for bit: the qubit record is its grid kernel on one (theta, T)
+    # cell, and gaussian_delta is (E - T S) + T ln Z with ln Z from the
+    # kernel's gaussian_log_z over an array of T.
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        p_norm, theta = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, math.pi))
+        ham = BlochHamiltonian(h0=float(rng.normal(0.0, 3.0)),
+                               h=rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0))
+        for sign in (1.0, -1.0):
+            t = sign * 10.0 ** float(rng.uniform(-3.0, 3.0))
+            cell = _kernels.qubit_delta_cells(p_norm, ham.h0, ham.norm, [theta], [t])[0, 0]
+            assert qubit_delta_record(p_norm, theta, ham, t).delta == cell
+    for seed in range(40):
+        c = gaussian.covariance_from_params(gaussian.random_gaussian_params(seed))
+        h = random_quadratic_hamiltonian(seed)
+        temps = 10.0 ** rng.uniform(-2.0, 2.0, 10)
+        energy, entropy = gaussian.mean_energy(c, h), gaussian.entropy_gaussian(gaussian.purity(c))
+        lnz = _kernels.gaussian_log_z(1.0 / temps, h.effective_frequency, h.omega2.imag)
+        cells = (energy - temps * entropy) + temps * lnz
+        for t, cell in zip(temps, cells):
+            assert gaussian_delta(c, h, float(t)).delta == cell
 
 
 def counted(f, rounds):
