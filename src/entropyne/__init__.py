@@ -27,7 +27,6 @@ from .entropy import (
     DeltaRecord,
     TsallisSeries,
     delta_from_operators,
-    delta_from_scalars,
     relative_entropy_vn,
     tsallis_relative_entropy,
     tsallis_series,
@@ -117,7 +116,6 @@ __all__ = [
     "DeltaRecord",
     "TsallisSeries",
     "delta_from_operators",
-    "delta_from_scalars",
     "relative_entropy_vn",
     "tsallis_relative_entropy",
     "tsallis_series",

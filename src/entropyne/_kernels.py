@@ -1,17 +1,18 @@
 """The closed-form log partition functions and the grid kernels built on them.
 
-`qubit_log_z` and `gaussian_log_z` take a float or a numpy array of
-temperatures.  The scalar library (`qubit`, `gaussian`) calls them on a
-float and the grid kernels on an array, and `effective_frequency` decides
-for both whether a quadratic form converges, so a grid cell and a scalar
-record agree on the value and on whether it diverges.  Cells where the
-quadratic Hamiltonian has no convergent partition function are NaN.  A
-convergent form is an oscillator of frequency `effective_frequency` plus
-the constant Im(w2), so its ln Z is finite at every beta > 0 and does not
-depend on w0.  `su11_pieces` is the paper's su(1,1) disentangling, which
-the su(1,1) coefficients and the Fock diagonal elements read.
-`argmin_rounds` is the package's one minimizer, run on these kernels by
-`amplifier.delta_argmin_temperature` and `verify.refine_zero_temperature`.
+`qubit_log_z` and `gaussian_log_z` take a float or an array of temperatures;
+`effective_frequency` decides for the scalar library and the kernels alike
+whether a quadratic form converges, and cells without a convergent partition
+function are NaN.  A convergent form is an oscillator of frequency
+`effective_frequency` plus the constant Im(w2), so its ln Z is finite at
+every beta > 0 and does not depend on w0.  Delta = (E - T S) + T ln Z is
+built in `qubit_delta_cells` and `gaussian_delta_cells` (fed thermal light by
+`amplifier_delta_cells`); each family's scalar Delta is its kernel at length
+1, so a grid cell and a scalar record agree on the value and on divergence.
+`su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
+coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
+one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
+and `verify.refine_zero_temperature`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergentPartition
+from .errors import NumericalFailure
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
@@ -110,27 +111,37 @@ def gaussian_log_z(beta, weff: float, omega2_im: float):
         return -beta * omega2_im - (0.5 * x + np.log(-np.expm1(-x)))
 
 
+def gaussian_delta_cells(temps: np.ndarray, energy, entropy, weff: float,
+                         omega2_im: float) -> np.ndarray:
+    """Distance parameter over a (T, state) grid: rows T, columns the states.
+
+    energy and entropy are floats or one value per state; weff and omega2_im
+    are those of `gaussian_log_z`.  NaN marks a cell without a convergent
+    partition function, inf or NaN one past the double range (no warning).
+    """
+    t = np.ascontiguousarray(temps, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+        out = np.multiply.outer(t, np.atleast_1d(entropy))
+        np.subtract(energy, out, out=out)
+        out += (t * gaussian_log_z(1.0 / t, weff, omega2_im))[:, None]
+    return out
+
+
 def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
                           weff: float) -> np.ndarray:
     """Distance parameter of thermal light over a (T, nbar) grid.
 
-    k0 = w0 w1 + w3/w0 and weff is that of `gaussian_log_z`; Im(w2) adds to
-    the energy what it takes from T ln Z, so it is left out.  Rows are T,
-    columns nbar; NaN marks cells without a convergent partition function.
-    A cell past the double range is inf or NaN, without a warning.
+    `gaussian_delta_cells` with k0 = w0 w1 + w3/w0 and weff that of
+    `gaussian_log_z`; Im(w2) adds to the energy what it takes from T ln Z,
+    so it is left out.  Rows are T, columns nbar.
     """
-    t = np.ascontiguousarray(temps, dtype=np.float64)
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lnz = gaussian_log_z(1.0 / t, weff, 0.0)
         energy = k0 * (0.5 + nb)  # k0 (1 + 2 nb) overflows first near 1.8e308
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
-        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-        out = np.multiply.outer(t, s)
-        np.subtract(energy, out, out=out)
-        out += (t * lnz)[:, None]
-    return out
+    return gaussian_delta_cells(temps, energy, s, weff, 0.0)
 
 
 def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:
@@ -139,7 +150,7 @@ def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:
     Each round samples the bracket in one call of f and keeps the two
     neighbours of the smallest sample, until b - a <= rel_tol max(min(|a|,
     |b|), 1e-12) or the bracket stops shrinking (a and b adjacent floats).
-    Returns its midpoint; raises DivergentPartition at a NaN sample.
+    Returns its midpoint; raises NumericalFailure if the smallest sample is not finite.
     """
     if not a < b:  # also false for NaN
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -147,8 +158,8 @@ def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:
         xs = a + (b - a) * _ROUND_FRACTIONS
         ys = f(xs)
         i = int(np.argmin(ys))  # the first NaN if there is one
-        if math.isnan(ys[i]):
-            raise DivergentPartition(f"NaN at a sample in [{a}, {b}]")
+        if not math.isfinite(ys[i]):
+            raise NumericalFailure(f"f = {ys[i]} at a sample in [{a}, {b}]")
         a_next, b_next = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
         if b_next - a_next >= b - a:
             break

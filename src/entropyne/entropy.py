@@ -7,7 +7,8 @@ S_{1+delta} around delta = 0, and the distance parameter
     delta = E - T*S + T*lnZ = T * S_vn(rho || gibbs(H, T)),
 
 which is >= 0 for T > 0 and <= 0 for T < 0, with equality iff rho is the
-thermal state of (H, T).
+thermal state of (H, T).  The closed forms' records are their kernels at
+length 1 (`_kernels.qubit_delta_cells`, `_kernels.gaussian_delta_cells`).
 
 Each relative entropy is one sum over the eigenpairs (i, j) of rho and sigma,
 with weights w_ij = lam_i |<r_i|s_j>|^2 and log ratios a_ij = ln lam_i - ln mu_j:
@@ -18,12 +19,13 @@ the sums take sum w = 1: S_q is that of the states normalised to unit trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidState, NumericalFailure, SupportDeficient,
-                     UnsupportedQ, ZeroTemperature)
+                     UnsupportedQ)
 from .hermitian import eigendecompose, log_trace_exp
 
 SUPPORT_EPS = 1e-12
@@ -173,19 +175,9 @@ class DeltaRecord:
     temperature: float
     delta: float
 
-
-def delta_from_scalars(energy: float, entropy: float, log_partition: float,
-                       temperature: float) -> DeltaRecord:
-    if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
-    for name, value in (("energy", energy), ("entropy", entropy),
-                        ("log_partition", log_partition)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    delta = energy - temperature * entropy + temperature * log_partition
-    return DeltaRecord(energy=energy, entropy=entropy,
-                       log_partition=log_partition,
-                       temperature=temperature, delta=delta)
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise NumericalFailure(f"Delta = {self.delta} at T = {self.temperature}: not a double")
 
 
 def delta_from_operators(rho: np.ndarray, h: np.ndarray,
@@ -196,4 +188,5 @@ def delta_from_operators(rho: np.ndarray, h: np.ndarray,
     energy = float(np.real(np.trace(rho @ h)))
     entropy = von_neumann_entropy(rho)
     log_z = log_trace_exp(h, temperature)
-    return delta_from_scalars(energy, entropy, log_z, temperature)
+    delta = energy - temperature * entropy + temperature * log_z
+    return DeltaRecord(energy, entropy, log_z, temperature, delta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .entropy import DeltaRecord, delta_from_scalars
+from .entropy import DeltaRecord
 from .errors import (
     DomainError,
     HyperbolicDomain,
@@ -265,10 +265,11 @@ def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
         raise ZeroTemperature("T = 0 is not supported")
     if temperature < 0.0:
         raise NegativeBeta("T < 0 diverges for Hamiltonians unbounded above")
-    energy = mean_energy(c, h)
-    entropy = entropy_gaussian(purity(c))
+    energy, entropy = mean_energy(c, h), entropy_gaussian(purity(c))
     log_z = log_partition_function(h, 1.0 / temperature)
-    return delta_from_scalars(energy, entropy, log_z, temperature)
+    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy,
+                                         h.effective_frequency, h.omega2.imag)[0, 0]
+    return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
 
 
 def random_gaussian_params(seed: int) -> GaussianParams:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .entropy import DeltaRecord, delta_from_scalars
+from .entropy import DeltaRecord
 from .errors import BlochNormExceeded, DomainError, ZeroTemperature
 from .grids import DeltaGrid, GridSpec
 
@@ -133,14 +133,11 @@ def equilibrium_temperature(p_norm: float, h_norm: float, sign: int = 1) -> floa
 
 def qubit_delta_record(p_norm: float, theta: float, bh: BlochHamiltonian,
                        temperature: float) -> DeltaRecord:
-    """Distance record with p at angle theta from h's axis, azimuth 0."""
-    obs_energy = 0.5 * (bh.h0 + p_norm * bh.norm * math.cos(theta))
-    return delta_from_scalars(
-        obs_energy,
-        bloch_entropy(p_norm),
-        log_partition_qubit(bh, temperature),
-        temperature,
-    )
+    """Distance record with p at angle theta from h's axis, azimuth 0: one kernel cell."""
+    energy = 0.5 * (bh.h0 + p_norm * bh.norm * math.cos(theta))
+    entropy, log_z = bloch_entropy(p_norm), log_partition_qubit(bh, temperature)
+    cell = _kernels.qubit_delta_cells(p_norm, bh.h0, bh.norm, [theta], [temperature])[0, 0]
+    return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
 
 
 def qubit_delta_grid(p_norm: float, bh: BlochHamiltonian, theta_range: GridSpec,

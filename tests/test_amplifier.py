@@ -12,6 +12,7 @@ from entropyne import (
     DivergentPartition,
     DomainError,
     GridSpec,
+    NumericalFailure,
     ThermalLight,
     amplifier_delta_surface,
     amplifier_hamiltonian,
@@ -269,8 +270,22 @@ def test_argmin_divergent_sample_raises(monkeypatch):
         return delta
 
     monkeypatch.setattr(_kernels, "amplifier_delta_cells", nan_sample)
-    with pytest.raises(DivergentPartition):
+    with pytest.raises(NumericalFailure):
         delta_argmin_temperature(CFG, 1.0, (0.1, 10.0))
+
+
+def test_argmin_overflowed_sample_raises():
+    # T* ~ 1.41e308 lies inside the bracket, but T S overflows to inf before
+    # it cancels, so the samples near 1.5e308 read -inf: not a minimum.
+    with pytest.raises(NumericalFailure):
+        delta_argmin_temperature(AmplifierConfig(omega0=1e308, k=1e307), 1.0, (1e308, 1.7e308))
+
+
+def test_gaussian_delta_past_the_double_range_raises():
+    # T S and T ln Z both overflow at T = 1.7e308; their difference is NaN.
+    c = thermal_light_covariance(ThermalLight(1.0), 1.0)
+    with pytest.raises(NumericalFailure):
+        gaussian_delta(c, amplifier_hamiltonian(AmplifierConfig()), 1.7e308)
 
 
 def test_argmin_wide_bracket():

@@ -12,7 +12,6 @@ from entropyne import (
     UnsupportedQ,
     ZeroTemperature,
     delta_from_operators,
-    delta_from_scalars,
     gibbs_state,
     random_density_matrix,
     random_hermitian,
@@ -333,15 +332,15 @@ def test_tsallis_subnormal_eigenvalue(q):
                         (1.0 - trace) / (1.0 - q), rel_tol=1e-12)
 
 
-def test_delta_from_scalars_direct():
-    rec = delta_from_scalars(1.0, 0.0, 0.0, 5.0)
-    assert isinstance(rec, DeltaRecord)
-    assert rec.delta == 1.0
+def test_delta_record_rejects_a_non_finite_delta():
+    with pytest.raises(NumericalFailure):
+        DeltaRecord(energy=1.0, entropy=0.0, log_partition=math.inf, temperature=5.0,
+                    delta=math.inf)
 
 
-def test_delta_from_scalars_rejects_zero_temperature():
+def test_delta_from_operators_rejects_zero_temperature():
     with pytest.raises(ZeroTemperature):
-        delta_from_scalars(1.0, 0.0, 0.0, 0.0)
+        delta_from_operators(DIAG_RHO, DIAG_SIGMA, 0.0)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, -0.1, -1.0, -10.0])

@@ -154,13 +154,15 @@ def test_stable_partition_unstable_for_tiny_beta():
         stable_partition(oscillator(1.0), 1e-3)
 
 
-# Forms for the dense cross-check.  The dense product matrix misplaces its
-# last level (by about -Im(omega2) N), so Im(omega2) <= 0 keeps that spurious
-# level above the 50 compared levels at every N.
+# Forms for the dense cross-check, with Im(omega2) of either sign: the dense
+# matrix adds Im(omega2) as an exact identity term, which shifts every level
+# alike.  The levels omega_eff (n + 1/2) + Im(omega2) are compared relative
+# to their size, so no form puts one near 0.
 CROSS_CHECK_FORMS = [
     oscillator(1.0),
     QuadraticHamiltonian(omega0=1.0, omega1=0.3, omega2=0.25 + 0j, omega3=1.2),
     QuadraticHamiltonian(omega0=1.3, omega1=0.6, omega2=0.2 - 0.3j, omega3=0.4),
+    QuadraticHamiltonian(omega0=1.3, omega1=0.6, omega2=0.2 + 0.3j, omega3=0.4),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Golden SHA-256 hashes of the grid subcommands' and `tsallis` output bytes.
+"""Golden SHA-256 hashes of the grid subcommands', `tsallis` and `verify --quick` output bytes.
 
 The hashes were recorded from the CLI before grid output was streamed; a
 change to how grids are serialized must leave every one of them unchanged.
@@ -10,6 +10,7 @@ A case whose every cell diverges has no hash: it must exit 3 with one
 
 import dataclasses
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -152,6 +153,17 @@ def test_process_stdout_bytes(name):
     res = subprocess.run([sys.executable, "-m", "entropyne.cli", *argv],
                          capture_output=True, check=True)
     assert sha256(res.stdout) == digest
+
+
+# `verify --quick` at its default seed, run on one BLAS thread.
+VERIFY_QUICK_SHA256 = "d7ce3a8c3c8eae837ee6e8893d64250a5320645ad42491e31884ad8e06e307a5"
+
+
+def test_verify_quick_stdout_bytes():
+    res = subprocess.run([sys.executable, "-m", "entropyne.cli", "verify", "--quick"],
+                         capture_output=True, check=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert sha256(res.stdout) == VERIFY_QUICK_SHA256
 
 
 @pytest.mark.parametrize("name", CASES)

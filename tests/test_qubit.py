@@ -11,6 +11,7 @@ from entropyne import (
     BlochState,
     DomainError,
     GridSpec,
+    NumericalFailure,
     ZeroTemperature,
     bloch_entropy,
     delta_from_operators,
@@ -82,6 +83,13 @@ def test_log_partition_two_level():
 def test_log_partition_rejects_zero_temperature():
     with pytest.raises(ZeroTemperature):
         log_partition_qubit(HAM_Z, 0.0)
+
+
+def test_delta_record_past_the_double_range_raises():
+    # -h0/(2T) overflows ln Z to +inf at T = 1e-300; the kernel's overflow
+    # warning is not what this test checks.
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+        qubit_delta_record(0.5, 0.0, BlochHamiltonian(-1e300, [0.0, 0.0, 1.0]), 1e-300)
 
 
 @pytest.mark.parametrize("seed", range(25))
