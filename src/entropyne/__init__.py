@@ -39,7 +39,6 @@ from .errors import (
     DivergentPartition,
     DomainError,
     EntropyneError,
-    HyperbolicDomain,
     InvalidGaussian,
     InvalidState,
     NegativeBeta,
@@ -127,7 +126,6 @@ __all__ = [
     "DivergentPartition",
     "DomainError",
     "EntropyneError",
-    "HyperbolicDomain",
     "InvalidGaussian",
     "InvalidState",
     "NegativeBeta",

@@ -2,13 +2,13 @@
 
 `qubit_log_z` and `gaussian_log_z` take a float or an array of temperatures;
 `effective_frequency` decides for the scalar library and the kernels alike
-whether a quadratic form converges, and cells without a convergent partition
-function are NaN.  A convergent form is an oscillator of frequency
-`effective_frequency` plus the constant Im(w2), so its ln Z is finite at
-every beta > 0 and does not depend on w0.  Delta = (E - T S) + T ln Z is
-built in `qubit_delta_cells` and `gaussian_delta_cells` (fed thermal light by
-`amplifier_delta_cells`); each family's scalar Delta is its kernel at length
-1, so a grid cell and a scalar record agree on the value and on divergence.
+whether a quadratic form converges, and raises DivergentPartition, before
+any cell is formed, when it does not.  A convergent form is an oscillator of
+frequency `effective_frequency` plus the constant Im(w2), so its ln Z is
+finite at every beta > 0 and does not depend on w0.  Delta = (E - T S) +
+T ln Z is built in `qubit_delta_cells` and `gaussian_delta_cells` (fed
+thermal light by `amplifier_delta_cells`); each family's scalar Delta is its
+kernel at length 1, so a grid cell and a scalar record agree on the value.
 `su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
 coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
 one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DivergentPartition, NumericalFailure
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
@@ -67,15 +67,16 @@ def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
 
 
 def effective_frequency(omega1: float, omega2_re: float, omega3: float) -> float:
-    """Normal-mode frequency 2 sqrt(g) of H = w1 p^2 + 2 Re(w2) pq + w3 q^2, or NaN.
+    """Normal-mode frequency 2 sqrt(g) of H = w1 p^2 + 2 Re(w2) pq + w3 q^2.
 
     The partition function converges only for a positive-definite form:
     w1 > 0 and g = w1 w3 - Re(w2)^2 > _FORM_RTOL w1 w3.  Any other form,
-    NaN coefficients included, gets NaN.
+    NaN coefficients included, raises DivergentPartition.
     """
     g = omega1 * omega3 - omega2_re * omega2_re
     if not (omega1 > 0.0 and g > _FORM_RTOL * omega1 * omega3):
-        return math.nan
+        raise DivergentPartition(
+            "the form is not positive definite: no convergent partition function")
     return 2.0 * math.sqrt(g)
 
 
@@ -103,8 +104,8 @@ def su11_pieces(beta, k0: float, weff: float):
 def gaussian_log_z(beta, weff: float, omega2_im: float):
     """ln Z = -beta Im(w2) - (x/2 + ln(1 - e^{-x})), x = beta weff, of a quadratic Hamiltonian.
 
-    weff comes from `effective_frequency` (NaN gives NaN).  Accurate at every
-    x > 0; an x that underflows to 0 gives +inf, without a warning.
+    weff comes from `effective_frequency`.  Accurate at every x > 0; an x
+    that underflows to 0 gives +inf, without a warning.
     """
     x = beta * weff
     with np.errstate(divide="ignore"):
@@ -116,8 +117,8 @@ def gaussian_delta_cells(temps: np.ndarray, energy, entropy, weff: float,
     """Distance parameter over a (T, state) grid: rows T, columns the states.
 
     energy and entropy are floats or one value per state; weff and omega2_im
-    are those of `gaussian_log_z`.  NaN marks a cell without a convergent
-    partition function, inf or NaN one past the double range (no warning).
+    are those of `gaussian_log_z`.  A cell past the double range is inf or
+    NaN (no warning).
     """
     t = np.ascontiguousarray(temps, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

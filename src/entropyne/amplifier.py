@@ -144,25 +144,19 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
         axis1_values=temps,
         axis2_values=nbars,
         cells=cells,
-        marker_name="argmin",
         markers=_argmin_markers(cells),
     )
 
 
 def _argmin_markers(cells: np.ndarray) -> np.ndarray:
-    """1 at the row of each column's smallest non-NaN cell (the first on a
-    tie), 0 elsewhere; a column whose cells are all NaN has no marker.  The
+    """1 at the row of each column's smallest cell (the first on a tie), 0
+    elsewhere; the cells are finite, as amplifier_delta_surface checks.  The
     markers are int8: a 0/1 flag needs one byte, not the eight of int64.
 
-    np.fmin skips NaN, and np.unique keeps each column's first hit of its
-    minimum in row-major order, i.e. its lowest row.  A column-wise
-    np.nanargmin would copy the whole array (twice, once to replace NaN), and
-    would mark a NaN cell in a column whose minimum is +inf with a NaN above
-    it.  Raises DivergentPartition when every column is all NaN.
+    np.unique keeps each column's first hit of its minimum in row-major order,
+    i.e. its lowest row; a column-wise np.argmin would copy the whole array.
     """
-    column_min = np.fmin.reduce(cells, axis=0)
-    if np.isnan(column_min).all():
-        raise DivergentPartition("every cell diverged: no convergent partition function")
+    column_min = cells.min(axis=0)
     rows, cols = np.divmod(np.flatnonzero(cells == column_min), cells.shape[1])
     cols, first = np.unique(cols, return_index=True)
     markers = np.zeros(cells.shape, dtype=np.int8)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, entropy, fock, gaussian, verify
 from .amplifier import AmplifierConfig, amplifier_delta_surface
-from .errors import DomainError, EntropyneError
+from .errors import EntropyneError
 from .grids import DeltaGrid, GridSpec, fmt, parse_grid_spec
 from .qubit import BlochHamiltonian, qubit_delta_grid
 
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, EntropyneError, ValueError) as exc:
+    except (EntropyneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

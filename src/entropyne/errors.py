@@ -49,10 +49,6 @@ class UnphysicalCovariance(EntropyneError):
     pass
 
 
-class HyperbolicDomain(DomainError):
-    pass
-
-
 class DivergentPartition(DomainError):
     pass
 

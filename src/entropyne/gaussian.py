@@ -31,7 +31,6 @@ from . import _kernels
 from .entropy import DeltaRecord
 from .errors import (
     DomainError,
-    HyperbolicDomain,
     InvalidGaussian,
     NegativeBeta,
     NumericalFailure,
@@ -51,6 +50,8 @@ class GaussianParams:
     b1: complex
 
     def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.a1, self.a2, self.b1))):
+            raise InvalidGaussian("kernel parameters must be finite")
         if abs(float(np.imag(self.a2))) > 0.0:
             raise InvalidGaussian("a2 must be real")
         if self.a2 < 0.0:
@@ -73,6 +74,9 @@ class CovarianceState:
     mean_q: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.sigma_pp, self.sigma_qq, self.sigma_pq,
+                                       self.mean_p, self.mean_q))):
+            raise UnphysicalCovariance("covariance entries and means must be finite")
         if self.sigma_pp <= 0.0 or self.sigma_qq <= 0.0:
             raise UnphysicalCovariance("diagonal covariance entries must be positive")
         if self.determinant < 0.25 - _MARGIN:
@@ -95,8 +99,7 @@ class QuadraticHamiltonian:
     def __post_init__(self) -> None:
         if self.omega0 <= 0.0:
             raise ValueError("omega0 must be positive")
-        values = (self.omega0, self.omega1, self.omega2, self.omega3)
-        if not all(np.isfinite(v) for v in np.atleast_1d(values).ravel()):
+        if not all(map(cmath.isfinite, (self.omega0, self.omega1, self.omega2, self.omega3))):
             raise ValueError("Hamiltonian parameters must be finite")
 
     @property
@@ -111,7 +114,8 @@ class QuadraticHamiltonian:
 
     @property
     def effective_frequency(self) -> float:
-        """Normal-mode frequency 2 sqrt(w1 w3 - Re(w2)^2); NaN unless positive definite."""
+        """Normal-mode frequency 2 sqrt(w1 w3 - Re(w2)^2) of a positive-definite
+        form; raises DivergentPartition for any other."""
         return _kernels.effective_frequency(self.omega1, self.omega2.real, self.omega3)
 
 
@@ -146,11 +150,8 @@ def covariance_from_params(g: GaussianParams) -> CovarianceState:
 
 
 def purity(c: CovarianceState) -> float:
-    """mu = 1/(2 sqrt(det sigma)) in (0, 1]."""
-    det = c.determinant
-    if det < 0.25 - _MARGIN:
-        raise UnphysicalCovariance(f"det sigma = {det} < 1/4")
-    return min(1.0, 1.0 / (2.0 * math.sqrt(det)))
+    """mu = 1/(2 sqrt(det sigma)) in (0, 1]; CovarianceState holds det sigma >= 1/4."""
+    return min(1.0, 1.0 / (2.0 * math.sqrt(c.determinant)))
 
 
 def entropy_gaussian(mu: float) -> float:
@@ -175,17 +176,13 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
 
 
 def _convergent_frequency(h: QuadraticHamiltonian, beta: float) -> float:
-    """The effective frequency of h, once 0 < beta < inf and the form are accepted."""
+    """The effective frequency of h, once 0 < beta < inf is accepted; raises
+    DivergentPartition unless the form converges."""
     if not beta > 0.0:
         raise NegativeBeta(f"beta must be positive, got {beta}")
     if beta == math.inf:
         raise ZeroTemperature("beta must be finite: T = 0 is not supported")
-    weff = h.effective_frequency
-    if math.isnan(weff):
-        raise HyperbolicDomain(
-            "the form is not positive definite: no convergent partition function"
-        )
-    return weff
+    return h.effective_frequency
 
 
 def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
@@ -266,9 +263,12 @@ def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
     if temperature < 0.0:
         raise NegativeBeta("T < 0 diverges for Hamiltonians unbounded above")
     energy, entropy = mean_energy(c, h), entropy_gaussian(purity(c))
-    log_z = log_partition_function(h, 1.0 / temperature)
-    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy,
-                                         h.effective_frequency, h.omega2.imag)[0, 0]
+    beta = 1.0 / temperature
+    weff = _convergent_frequency(h, beta)
+    # A ln Z past the double range makes Delta inf or NaN, which DeltaRecord rejects.
+    log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
+    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy, weff,
+                                         h.omega2.imag)[0, 0]
     return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
 
 

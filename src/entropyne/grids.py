@@ -1,9 +1,9 @@
 """Rectangular sweep grids and their CSV/JSON serialization.
 
 Grid specs are (start, stop, count) with inclusive endpoints and uniform
-spacing, written start:stop:count on the command line.  Divergent cells are
-held as NaN internally and serialized as an empty CSV field / JSON null,
-never as NaN text.
+spacing, written start:stop:count on the command line.  A cell without a
+finite Delta is held as NaN and serialized as an empty CSV field / JSON
+null, never as NaN text.
 
 `DeltaGrid.write_csv` / `write_json` stream a grid to a text handle a block
 of rows at a time, so peak memory does not grow with the grid.  A CSV block
@@ -64,6 +64,8 @@ _FLOAT_FORMAT = ".17g"
 # stays flat, and the per-block overhead is negligible.
 _BLOCK_CELLS = 1 << 13
 _JSON_SEP = ",\n    "  # between the items of an array under a top-level key
+# The name of the marker column (CSV) and the JSON "marker_name" of a grid with markers.
+MARKER_NAME = "argmin"
 
 
 def fmt(x: float) -> str:
@@ -79,17 +81,14 @@ class DeltaGrid:
     axis2_name: str
     axis1_values: np.ndarray
     axis2_values: np.ndarray
-    cells: np.ndarray  # shape (len(axis1), len(axis2)); NaN = flagged cell
+    cells: np.ndarray  # shape (len(axis1), len(axis2)); NaN = no finite Delta
     metadata: dict = field(default_factory=dict)
-    marker_name: Optional[str] = None
-    markers: Optional[np.ndarray] = None  # 0/1 int or bool, cells' shape; needs marker_name
+    markers: Optional[np.ndarray] = None  # 0/1 int or bool, cells' shape
 
     def __post_init__(self) -> None:
         expected = (len(self.axis1_values), len(self.axis2_values))
         if self.cells.shape != expected:
             raise ValueError(f"cells shape {self.cells.shape} != {expected}")
-        if (self.markers is None) != (self.marker_name is None):
-            raise ValueError("markers and marker_name go together: give both or neither")
         if self.markers is not None and self.markers.shape != expected:
             raise ValueError(f"markers shape {self.markers.shape} != {expected}")
 
@@ -109,14 +108,12 @@ class DeltaGrid:
         """Write the grid as CSV to `out`, a block of rows at a time.
 
         Metadata comes first as sorted `# key=value` lines, then the header
-        and one `axis1,axis2,delta[,marker]` row per cell in row-major order.
+        and one `axis1,axis2,delta[,argmin]` row per cell in row-major order.
         """
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
-        header = f"{self.axis1_name},{self.axis2_name},delta"
-        if self.marker_name is not None:
-            header += f",{self.marker_name}"
-        out.write("\n".join(lines + [header]) + "\n")
         marked = self.markers is not None
+        header = f"{self.axis1_name},{self.axis2_name},delta"
+        out.write("\n".join(lines + [header + (f",{MARKER_NAME}" if marked else "")]) + "\n")
         tail = ",%d\n" if marked else "\n"  # what follows a cell to the line end
         # "\0" stands for a row's axis-1 text: no formatted float holds it or "%".
         row = "".join(f"\0,{fmt(b)},%{_FLOAT_FORMAT}{tail}" for b in self.axis2_values.tolist())
@@ -142,7 +139,7 @@ class DeltaGrid:
 
         The bytes are those of `json.dumps(d, sort_keys=True, indent=2)`
         plus a newline, where d holds the axis names and values, the cells
-        in row-major order (null for a divergent cell), the metadata and,
+        in row-major order (null for a NaN cell), the metadata and,
         when there are markers, `marker_name` and the markers.
         """
         blocks = self._row_blocks()
@@ -158,7 +155,7 @@ class DeltaGrid:
                          .replace("\n", "\n  ")],
         }
         if self.markers is not None:
-            fields["marker_name"] = [json.dumps(self.marker_name)]
+            fields["marker_name"] = [json.dumps(MARKER_NAME)]
             fields["markers"] = _json_array(self._marker_text(lo, hi).replace(", ", _JSON_SEP)
                                             for lo, hi in blocks)
         sep = "{\n"
@@ -219,6 +216,5 @@ def grid_from_json_dict(data: dict) -> DeltaGrid:
         axis2_values=np.array(data["axis2_values"], dtype=float),
         cells=cells,
         metadata=data.get("metadata", {}),
-        marker_name=data.get("marker_name"),
         markers=markers,
     )

@@ -87,18 +87,16 @@ def test_surface_shape_sign_and_markers():
     surface = amplifier_delta_surface(CFG, GridSpec(0.2, 10.0, 25),
                                       GridSpec(0.2, 10.0, 13))
     assert surface.cells.shape == (25, 13)
-    assert np.nanmin(surface.cells) >= -1e-9
-    assert surface.marker_name == "argmin"
+    assert surface.cells.min() >= -1e-9
+    assert surface.to_csv_text().splitlines()[0] == "T,nbar,delta,argmin"
     assert (surface.markers.sum(axis=0) == 1).all()
 
 
 def loop_argmin_markers(cells):
-    """Reference: one nanargmin per column that is not all NaN."""
+    """Reference: one argmin per column."""
     markers = np.zeros(cells.shape, dtype=int)
     for j in range(cells.shape[1]):
-        col = cells[:, j]
-        if not np.isnan(col).all():
-            markers[np.nanargmin(col), j] = 1
+        markers[np.argmin(cells[:, j]), j] = 1
     return markers
 
 
@@ -106,23 +104,14 @@ def test_argmin_markers_match_column_loop():
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 4, (40, 30)).astype(float)  # many ties
     assert np.array_equal(_argmin_markers(cells), loop_argmin_markers(cells))
-    cells[rng.random(cells.shape) < 0.3] = np.nan
-    cells[:, [0, 7, 29]] = np.nan
-    cells[5:, 3] = np.nan            # a column with a single finite cell
+    cells[5:, 3] = 9.0               # a column whose minimum is in its first rows
     cells[:, 4] = 2.0                # a column tied everywhere
-    cells[[2, 9], 5] = [-np.inf, -np.inf]
+    cells[[2, 9], 5] = [-1e300, -1e300]
     markers = _argmin_markers(cells)
     assert np.array_equal(markers, loop_argmin_markers(cells))
-    assert markers[:, [0, 7, 29]].sum() == 0
     assert markers[0, 4] == 1 and markers[2, 5] == 1
-    # Surface cells, then the same cells with whole T rows blanked, as a
-    # divergent row would be; the blanked rows hold some column minima.
     surface = amplifier_delta_surface(CFG, GridSpec(0.2, 10.0, 40), GridSpec(0.5, 4.0, 6))
-    cells = surface.cells
-    assert np.array_equal(surface.markers, loop_argmin_markers(cells))
-    cells[np.argmax(surface.markers, axis=0)[::2]] = np.nan
-    cells[rng.random(len(cells)) < 0.3] = np.nan
-    assert np.array_equal(_argmin_markers(cells), loop_argmin_markers(cells))
+    assert np.array_equal(surface.markers, loop_argmin_markers(surface.cells))
 
 
 def test_surface_markers_are_one_byte_per_cell():
@@ -140,24 +129,30 @@ def test_markers_stay_int8_through_json():
 
 
 def test_int8_markers_match_column_loop_on_edge_columns():
-    # Columns: NaN above and below a -inf, a +inf minimum with no NaN, a
-    # -inf tie, a tie of finite values, all NaN, and a lone finite cell.
-    nan, inf = np.nan, np.inf
-    cells = np.array([[nan, inf, 1.0, 2.0, nan, nan],
-                      [-inf, inf, -inf, 2.0, nan, nan],
-                      [nan, inf, -inf, 3.0, nan, 0.5]])
+    # Columns: a minimum in the last row, a tie of the extreme doubles, a
+    # tie of finite values in the lower rows, and signed zeros, which tie.
+    big = np.finfo(np.float64).max
+    cells = np.array([[3.0, -big, 1.0, 0.0],
+                      [2.0, -big, 0.5, -0.0],
+                      [1.0, big, 0.5, 0.0]])
     markers = _argmin_markers(cells)
     assert markers.dtype == np.int8
     assert np.array_equal(markers, loop_argmin_markers(cells))
-    assert np.array_equal(markers.sum(axis=0), [1, 1, 1, 1, 0, 1])
+    assert np.array_equal(markers.argmax(axis=0), [2, 0, 1, 0])
 
 
-def test_argmin_marker_never_on_a_divergent_cell():
-    # Where a column's minimum is +inf below a NaN, nanargmin (the loop)
-    # marks the NaN row; the marker belongs on the +inf cell.
-    cells = np.array([[np.nan, 1.0], [np.inf, 2.0]])
-    assert loop_argmin_markers(cells)[0, 0] == 1
-    assert np.array_equal(_argmin_markers(cells), [[0, 1], [1, 0]])
+def test_argmin_marker_never_on_a_divergent_cell(monkeypatch):
+    # A NaN or infinite cell raises before any marker is placed.
+    kernel = _kernels.amplifier_delta_cells
+    for bad in (np.nan, np.inf, -np.inf):
+        def one_bad_cell(*args, bad=bad):
+            cells = kernel(*args)
+            cells[3, 1] = bad
+            return cells
+
+        monkeypatch.setattr(_kernels, "amplifier_delta_cells", one_bad_cell)
+        with pytest.raises(NumericalFailure):
+            amplifier_delta_surface(CFG, GridSpec(0.2, 10.0, 8), GridSpec(0.5, 4.0, 3))
 
 
 def test_surface_all_divergent():

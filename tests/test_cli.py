@@ -235,10 +235,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-def test_domain_errors_exit_3():
+def test_domain_errors_exit_3(capsys):
     # omega1*omega3 < Re(omega2)^2: no convergent partition function.
-    assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
-                 "--omega2-re", "0.6", "--beta", "1"]) == 3
+    err = assert_one_error_line(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
+                                 "--omega2-re", "0.6", "--beta", "1"], capsys)
+    assert err == "error: the form is not positive definite: no convergent partition function\n"
     assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
                  "--beta", "-1"]) == 3
 

@@ -11,11 +11,11 @@ from entropyne import (
     DivergentPartition,
     DomainError,
     GaussianParams,
-    HyperbolicDomain,
     InvalidGaussian,
     NegativeBeta,
     NumericalFailure,
     QuadraticHamiltonian,
+    UnphysicalCovariance,
     ZeroTemperature,
     covariance_from_params,
     entropy_gaussian,
@@ -51,6 +51,31 @@ def test_params_validation():
         GaussianParams(a1=0.5 + 0j, a2=-0.1, b1=0j)
     with pytest.raises(InvalidGaussian):
         GaussianParams(a1=0.25 + 0j, a2=0.5, b1=0j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(bad):
+    for a1, a2, b1 in [(complex(bad, 0.0), 0.5, 0j), (complex(1.0, bad), 0.5, 0j),
+                       (1.0 + 0j, bad, 0j), (1.0 + 0j, 0.5, complex(0.0, bad))]:
+        with pytest.raises(InvalidGaussian, match="finite"):
+            GaussianParams(a1=a1, a2=a2, b1=b1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_covariance_rejects_non_finite_fields(bad):
+    # A NaN entry would read as a pure state (purity 1.0, entropy 0).
+    good = dict(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=0.0, mean_p=0.0, mean_q=0.0)
+    for name in good:
+        with pytest.raises(UnphysicalCovariance, match="finite"):
+            CovarianceState(**{**good, name: bad})
+
+
+def test_covariance_rejects_det_below_a_quarter():
+    with pytest.raises(UnphysicalCovariance, match="uncertainty bound"):
+        CovarianceState(sigma_pp=0.5, sigma_qq=0.5, sigma_pq=0.1)
+    with pytest.raises(UnphysicalCovariance, match="uncertainty bound"):
+        CovarianceState(sigma_pp=0.2, sigma_qq=1.0, sigma_pq=0.0)
+    assert CovarianceState(sigma_pp=0.5, sigma_qq=0.5, sigma_pq=0.0).determinant == 0.25
 
 
 def test_normalization_vacuum():
@@ -185,7 +210,7 @@ def test_partition_k0_continuity():
 def test_partition_hyperbolic_domain():
     # omega0^2 < 4 k^2 at t=0 pushes the effective frequency imaginary.
     h = QuadraticHamiltonian(omega0=1.0, omega1=1.1, omega2=0j, omega3=-0.1)
-    with pytest.raises(HyperbolicDomain):
+    with pytest.raises(DivergentPartition):
         log_partition_function(h, 1.0)
 
 

@@ -217,7 +217,6 @@ def synthetic_grid():
         axis2_values=np.array([0.0, 0.1, 2.0 / 3.0, 4.0]),
         cells=cells,
         metadata={"b": "x", "a": 1, "c": [1.5, None]},
-        marker_name="argmin",
         markers=np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]]),
     )
 
@@ -235,8 +234,8 @@ def per_cell_csv(grid):
     format(x, ".17g"), a NaN cell as an empty field, each marker by str(int)."""
     lines = [f"# {key}={grid.metadata[key]}" for key in sorted(grid.metadata)]
     names = [grid.axis1_name, grid.axis2_name, "delta"]
-    if grid.marker_name is not None:
-        names.append(grid.marker_name)
+    if grid.markers is not None:
+        names.append("argmin")
     lines.append(",".join(names))
     for i, a in enumerate(grid.axis1_values.tolist()):
         for j, b in enumerate(grid.axis2_values.tolist()):
@@ -263,7 +262,6 @@ def seeded_grid(seed, shape, marked, nan_axis=False):
         axis1[-1:], axis2[:1] = np.nan, np.nan
         cells[-1:, ::2], cells[::2, :1] = np.nan, np.nan
     return DeltaGrid("T", "nbar", axis1, axis2, cells, metadata={"seed": seed},
-                     marker_name="argmin" if marked else None,
                      markers=rng.integers(-1, 3, shape) if marked else None)
 
 
@@ -296,16 +294,4 @@ def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
 def test_markers_of_the_wrong_shape_are_rejected():
     with pytest.raises(ValueError, match="markers shape"):
         DeltaGrid("T", "nbar", np.ones(3), np.arange(2.0), np.ones((3, 2)),
-                  marker_name="argmin", markers=np.array([[1, 0]]))
-
-
-def test_markers_without_a_name_are_rejected():
-    with pytest.raises(ValueError, match="marker_name"):
-        DeltaGrid("T", "nbar", np.ones(2), np.arange(2.0), np.ones((2, 2)),
-                  markers=np.array([[1, 0], [0, 1]]))
-
-
-def test_a_marker_name_without_markers_is_rejected():
-    with pytest.raises(ValueError, match="marker_name"):
-        DeltaGrid("T", "nbar", np.ones(2), np.arange(2.0), np.ones((2, 2)),
-                  marker_name="argmin")
+                  markers=np.array([[1, 0]]))

@@ -1,4 +1,4 @@
-"""Grid kernels against the scalar library, cell by cell, divergent cells included."""
+"""Grid kernels against the scalar library, cell by cell, and the one divergence rule."""
 
 import math
 
@@ -9,7 +9,7 @@ from entropyne import _kernels
 from entropyne import gaussian
 from entropyne.amplifier import (AmplifierConfig, ThermalLight, amplifier_hamiltonian,
                                  thermal_light_covariance)
-from entropyne.errors import DomainError, HyperbolicDomain
+from entropyne.errors import DivergentPartition
 from entropyne.gaussian import (QuadraticHamiltonian, gaussian_delta, log_partition_function,
                                 random_quadratic_hamiltonian)
 from entropyne.qubit import BlochHamiltonian, qubit_delta_record
@@ -86,25 +86,34 @@ NAMED_FORMS = {
 
 
 def check_cells_against_scalar(h, temps):
-    cells = _kernels.amplifier_delta_cells(temps, NBARS, h.k0_coefficient,
-                                           h.effective_frequency)
+    """The kernel's cells against gaussian_delta; None for a divergent form,
+    where the kernel's effective frequency and every record raise."""
+    states = [thermal_light_covariance(ThermalLight(nbar), h.omega0) for nbar in NBARS]
+    try:
+        weff = h.effective_frequency
+    except DivergentPartition:
+        for t in temps:
+            for state in states:
+                with pytest.raises(DivergentPartition):
+                    gaussian_delta(state, h, t)
+        return None
+    cells = _kernels.amplifier_delta_cells(temps, NBARS, h.k0_coefficient, weff)
     for i, t in enumerate(temps):
-        for j, nbar in enumerate(NBARS):
-            state = thermal_light_covariance(ThermalLight(nbar), h.omega0)
-            try:
-                rec = gaussian_delta(state, h, t)
-            except DomainError:
-                assert math.isnan(cells[i, j]), (t, nbar)
-                continue
+        for j, state in enumerate(states):
+            rec = gaussian_delta(state, h, t)
             scale = abs(rec.energy) + t * rec.entropy + abs(t * rec.log_partition)
-            assert abs(cells[i, j] - rec.delta) <= CELL_RTOL * scale, (t, nbar)
+            assert abs(cells[i, j] - rec.delta) <= CELL_RTOL * scale, (t, NBARS[j])
     return cells
 
 
+# The raise mask: a form's records raise exactly where its kernel has no
+# frequency to take, and a convergent form's cells are all finite.
 @pytest.mark.parametrize("kind", KINDS)
 def test_amplifier_nan_mask_matches_raise_mask(kind):
     for seed in range(4):
-        check_cells_against_scalar(seeded_forms(kind, seed), WIDE_TEMPS)
+        cells = check_cells_against_scalar(seeded_forms(kind, seed), WIDE_TEMPS)
+        assert (cells is None) == (kind not in ("positive-definite", "above-threshold"))
+        assert cells is None or np.isfinite(cells).all()
 
 
 @pytest.mark.parametrize("name", NAMED_FORMS)
@@ -113,16 +122,16 @@ def test_named_forms_match_scalar(name):
     check_cells_against_scalar(NAMED_FORMS[name], np.linspace(0.2, 10.0, 8))
     cells = check_cells_against_scalar(NAMED_FORMS[name], WIDE_TEMPS)
     if name == "amplifier-default":
-        assert not np.isnan(cells).any()
+        assert np.isfinite(cells).all()
     else:
-        assert np.isnan(cells).all()
+        assert cells is None
 
 
 def test_amplifier_cells_match_gaussian_delta():
     h = QuadraticHamiltonian(omega0=1.3, omega1=0.6, omega2=complex(0.2, 0.15),
                              omega3=0.4)
     cells = check_cells_against_scalar(h, TEMPS)
-    assert not np.isnan(cells).any()
+    assert np.isfinite(cells).all()
 
 
 def test_form_rule_threshold():
@@ -133,18 +142,49 @@ def test_form_rule_threshold():
         w1, w3 = float(rng.uniform(0.3, 1.2)), float(rng.uniform(0.3, 1.2))
         for sign, accepted in ((1.0, True), (-1.0, False), (0.0, False)):
             w2 = math.sqrt(w1 * w3 * (1.0 - sign * 2.0 * FORM_RTOL))
-            weff = _kernels.effective_frequency(w1, w2, w3)
-            assert math.isfinite(weff) == accepted, (seed, sign)
+            if accepted:
+                weff = _kernels.effective_frequency(w1, w2, w3)
+                assert math.isfinite(weff) and weff > 0.0, seed
+            else:
+                with pytest.raises(DivergentPartition):
+                    _kernels.effective_frequency(w1, w2, w3)
             for w0 in (math.sqrt(w3 / w1), 1e-9, 1e9):
                 h = QuadraticHamiltonian(omega0=w0, omega1=w1, omega2=complex(w2, 0.0),
                                          omega3=w3)
-                assert np.array_equal(h.effective_frequency, weff, equal_nan=True)
                 if accepted:
+                    assert h.effective_frequency == weff
                     assert math.isfinite(log_partition_function(h, 1.0))
                 else:
-                    with pytest.raises(HyperbolicDomain):
+                    with pytest.raises(DivergentPartition):
+                        h.effective_frequency
+                    with pytest.raises(DivergentPartition):
                         log_partition_function(h, 1.0)
-    assert math.isnan(_kernels.effective_frequency(math.nan, 0.0, 1.0))
+
+
+DIVERGENT_KINDS = ["negative-definite", "hyperbolic", "indefinite", "marginal", "below-threshold"]
+PUBLIC_ENTRIES = {
+    "effective_frequency": lambda h: h.effective_frequency,
+    "log_partition_function": lambda h: log_partition_function(h, 1.0),
+    "su11_coefficients": lambda h: gaussian.su11_coefficients(h, 1.0),
+    "fock_diagonal_element": lambda h: gaussian.fock_diagonal_element(h, 1.0, 3),
+    "gaussian_delta": lambda h: gaussian_delta(
+        thermal_light_covariance(ThermalLight(1.0), h.omega0), h, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", PUBLIC_ENTRIES)
+@pytest.mark.parametrize("kind", DIVERGENT_KINDS)
+def test_every_entry_raises_one_divergence_error(kind, entry):
+    for seed in range(4):
+        with pytest.raises(DivergentPartition, match="^the form is not positive definite: "):
+            PUBLIC_ENTRIES[entry](seeded_forms(kind, seed))
+
+
+@pytest.mark.parametrize("coefficients", [(math.nan, 0.0, 1.0), (1.0, math.nan, 1.0),
+                                          (1.0, 0.0, math.nan)])
+def test_nan_coefficient_raises_divergent_partition(coefficients):
+    with pytest.raises(DivergentPartition):
+        _kernels.effective_frequency(*coefficients)
 
 
 # ln Z against a 50-digit normal-mode reference: the library evaluates that
@@ -227,7 +267,7 @@ def broadcast_amplifier_cells(temps, nbars, h):
 
 def test_kernels_bit_identical_to_broadcast_expression():
     # The kernels fill one buffer in place; every cell must be the same
-    # float as the broadcast expression gives, NaN cells included.
+    # float as the broadcast expression gives.
     for seed in range(6):
         rng = np.random.default_rng([seed, 17])
         thetas = np.sort(rng.uniform(0.0, math.pi, 60))
@@ -237,15 +277,15 @@ def test_kernels_bit_identical_to_broadcast_expression():
                               broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps))
         nbars = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 40)])
         amp_temps = np.sort(rng.uniform(0.05, 10.0, 50))
-        # The negative-definite form covers NaN cells.
-        for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"],
-                  NAMED_FORMS["negative-definite-half"]):
+        for h in (random_quadratic_hamiltonian(seed), NAMED_FORMS["amplifier-default"]):
             for t in (amp_temps, WIDE_TEMPS):
                 cells = _kernels.amplifier_delta_cells(t, nbars, h.k0_coefficient,
                                                        h.effective_frequency)
-                assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h),
-                                      equal_nan=True)
-                assert np.isnan(cells).all() == (h is NAMED_FORMS["negative-definite-half"])
+                assert np.array_equal(cells, broadcast_amplifier_cells(t, nbars, h))
+                assert np.isfinite(cells).all()
+        # A negative-definite form has no frequency to give either of them.
+        with pytest.raises(DivergentPartition):
+            broadcast_amplifier_cells(amp_temps, nbars, NAMED_FORMS["negative-definite-half"])
 
 
 def test_scalar_delta_is_the_kernel_at_length_1():
