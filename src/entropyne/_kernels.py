@@ -48,21 +48,29 @@ def _qubit_entropy(p_norm: float) -> float:
 
 
 def qubit_log_z(h0, h_norm, t):
-    """ln Tr e^{-H/T} = -h0/(2T) + ln(2 cosh(|h|/(2T))) for T a float or an array."""
-    # Halve the numerators, not double t: 2 t overflows for |t| > 8.9e307.
-    ax = np.abs((0.5 * h_norm) / t)
-    return -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
+    """ln Tr e^{-H/T} = -h0/(2T) + ln(2 cosh(|h|/(2T))) for T a float or an array.
+
+    A value past the double range is inf or NaN, without a warning.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Halve the numerators, not double t: 2 t overflows for |t| > 8.9e307.
+        ax = np.abs((0.5 * h_norm) / t)
+        return -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
 
 
 def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
                       thetas: np.ndarray, temps: np.ndarray) -> np.ndarray:
-    """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|."""
+    """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|.
+
+    A cell past the double range is inf or NaN (no warning).
+    """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     t = np.ascontiguousarray(temps, dtype=np.float64)
-    energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
-    # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-    out = np.subtract.outer(energy, t * _qubit_entropy(p_norm))
-    out += t * qubit_log_z(h0, h_norm, t)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
+        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+        out = np.subtract.outer(energy, t * _qubit_entropy(p_norm))
+        out += t * qubit_log_z(h0, h_norm, t)
     return out
 
 
@@ -112,20 +120,19 @@ def gaussian_log_z(beta, weff: float, omega2_im: float):
         return -beta * omega2_im - (0.5 * x + np.log(-np.expm1(-x)))
 
 
-def gaussian_delta_cells(temps: np.ndarray, energy, entropy, weff: float,
-                         omega2_im: float) -> np.ndarray:
+def gaussian_delta_cells(temps: np.ndarray, energy, entropy, log_z) -> np.ndarray:
     """Distance parameter over a (T, state) grid: rows T, columns the states.
 
-    energy and entropy are floats or one value per state; weff and omega2_im
-    are those of `gaussian_log_z`.  A cell past the double range is inf or
-    NaN (no warning).
+    energy and entropy are floats or one value per state; log_z is ln Z at
+    each T (a float for one T), from `gaussian_log_z` at beta = 1/T.  A cell
+    past the double range is inf or NaN (no warning).
     """
     t = np.ascontiguousarray(temps, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
         out = np.multiply.outer(t, np.atleast_1d(entropy))
         np.subtract(energy, out, out=out)
-        out += (t * gaussian_log_z(1.0 / t, weff, omega2_im))[:, None]
+        out += (t * log_z)[:, None]
     return out
 
 
@@ -137,12 +144,14 @@ def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
     `gaussian_log_z`; Im(w2) adds to the energy what it takes from T ln Z,
     so it is left out.  Rows are T, columns nbar.
     """
+    t = np.ascontiguousarray(temps, dtype=np.float64)
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         energy = k0 * (0.5 + nb)  # k0 (1 + 2 nb) overflows first near 1.8e308
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
-    return gaussian_delta_cells(temps, energy, s, weff, 0.0)
+        log_z = gaussian_log_z(1.0 / t, weff, 0.0)
+    return gaussian_delta_cells(t, energy, s, log_z)
 
 
 def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .errors import BracketError, DivergentPartition, DomainError, NumericalFailure
+from .errors import BracketError, DivergentPartition, DomainError
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
 
@@ -135,22 +135,17 @@ def amplifier_delta_surface(cfg: AmplifierConfig, T_range: GridSpec,
     if nbars.min() < 0.0:
         raise DomainError("nbar range must be nonnegative")
     cells = _kernels.amplifier_delta_cells(temps, nbars, cfg.omega0, effective_frequency(cfg))
-    # A convergent form's cells are finite unless T ln Z or 1/T passes 1.8e308.
-    if not np.isfinite(cells).all():
-        raise NumericalFailure("Delta overflows a double on this grid (T ln Z or 1/T)")
-    return DeltaGrid(
-        axis1_name="T",
-        axis2_name="nbar",
-        axis1_values=temps,
-        axis2_values=nbars,
-        cells=cells,
-        markers=_argmin_markers(cells),
-    )
+    # A convergent form's cells are finite unless T ln Z or 1/T passes 1.8e308,
+    # and DeltaGrid rejects such a grid before any cell is marked.
+    surface = DeltaGrid(axis1_name="T", axis2_name="nbar", axis1_values=temps,
+                        axis2_values=nbars, cells=cells)
+    surface.markers = _argmin_markers(cells)
+    return surface
 
 
 def _argmin_markers(cells: np.ndarray) -> np.ndarray:
     """1 at the row of each column's smallest cell (the first on a tie), 0
-    elsewhere; the cells are finite, as amplifier_delta_surface checks.  The
+    elsewhere; the cells are finite, as DeltaGrid checks.  The
     markers are int8: a 0/1 flag needs one byte, not the eight of int64.
 
     np.unique keeps each column's first hit of its minimum in row-major order,

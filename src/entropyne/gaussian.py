@@ -79,14 +79,15 @@ class CovarianceState:
             raise UnphysicalCovariance("covariance entries and means must be finite")
         if self.sigma_pp <= 0.0 or self.sigma_qq <= 0.0:
             raise UnphysicalCovariance("diagonal covariance entries must be positive")
-        if self.determinant < 0.25 - _MARGIN:
-            raise UnphysicalCovariance(
-                f"det sigma = {self.determinant} violates the uncertainty bound"
-            )
+        det = self.determinant
+        if not math.isfinite(det):
+            raise UnphysicalCovariance(f"det sigma = {det} is outside the double range")
+        if det < 0.25 - _MARGIN:
+            raise UnphysicalCovariance(f"det sigma = {det} violates the uncertainty bound")
 
     @property
     def determinant(self) -> float:
-        return self.sigma_pp * self.sigma_qq - self.sigma_pq**2
+        return self.sigma_pp * self.sigma_qq - self.sigma_pq * self.sigma_pq
 
 
 @dataclass(frozen=True)
@@ -267,8 +268,7 @@ def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
     weff = _convergent_frequency(h, beta)
     # A ln Z past the double range makes Delta inf or NaN, which DeltaRecord rejects.
     log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
-    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy, weff,
-                                         h.omega2.imag)[0, 0]
+    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy, log_z)[0, 0]
     return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
 
 

@@ -1,15 +1,15 @@
 """Rectangular sweep grids and their CSV/JSON serialization.
 
 Grid specs are (start, stop, count) with inclusive endpoints and uniform
-spacing, written start:stop:count on the command line.  A cell without a
-finite Delta is held as NaN and serialized as an empty CSV field / JSON
-null, never as NaN text.
+spacing, written start:stop:count on the command line.  A `DeltaGrid`
+holds only finite numbers: Delta = T S(rho||sigma) is finite at every
+T != 0, so a cell that is not finite is a numeric failure (NumericalFailure,
+exit 3), and an axis value that is not finite is a ValueError.
 
 `DeltaGrid.write_csv` / `write_json` stream a grid to a text handle a block
 of rows at a time, so peak memory does not grow with the grid.  A CSV block
 is one `%` format of a row template (`%.17g` per cell, `%d` per marker),
-whose NaN cells are then blanked by a replace that matches only the cell
-field; JSON formats each cell with `float.__repr__`.  Its bytes are those of
+and JSON formats each cell with `float.__repr__`.  Its bytes are those of
 `json.dumps(..., sort_keys=True, indent=2)`, whose pure-Python encoder
 (the one `indent` selects) is not used for the arrays.  `to_csv_text` /
 `to_json_text` return the same bytes as a string.
@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
+
+from .errors import NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class DeltaGrid:
     axis2_name: str
     axis1_values: np.ndarray
     axis2_values: np.ndarray
-    cells: np.ndarray  # shape (len(axis1), len(axis2)); NaN = no finite Delta
+    cells: np.ndarray  # shape (len(axis1), len(axis2)), every cell finite
     metadata: dict = field(default_factory=dict)
     markers: Optional[np.ndarray] = None  # 0/1 int or bool, cells' shape
 
@@ -91,6 +93,10 @@ class DeltaGrid:
             raise ValueError(f"cells shape {self.cells.shape} != {expected}")
         if self.markers is not None and self.markers.shape != expected:
             raise ValueError(f"markers shape {self.markers.shape} != {expected}")
+        if not (np.isfinite(self.axis1_values).all() and np.isfinite(self.axis2_values).all()):
+            raise ValueError("axis values must be finite")
+        if not np.isfinite(self.cells).all():
+            raise NumericalFailure("Delta overflows a double on this grid")
 
     def _row_blocks(self) -> list[tuple[int, int]]:
         """(lo, hi) row ranges of about _BLOCK_CELLS cells each."""
@@ -125,31 +131,24 @@ class DeltaGrid:
                 values[::2], values[1::2] = cells.tolist(), markers.tolist()
             else:
                 values = cells.tolist()
-            text = "".join([row.replace("\0", fmt(a))
-                            for a in self.axis1_values[lo:hi].tolist()]) % tuple(values)
-            nan = np.isnan(cells)
-            if nan.any():  # blank the NaN cells: only a cell field is followed by a tail
-                ends = [tail % m for m in np.unique(markers[nan]).tolist()] if marked else [tail]
-                for end in ends:
-                    text = text.replace(",nan" + end, "," + end)
-            out.write(text)
+            out.write("".join([row.replace("\0", fmt(a))
+                               for a in self.axis1_values[lo:hi].tolist()]) % tuple(values))
 
     def write_json(self, out: TextIO) -> None:
         """Write the grid as JSON to `out`, a block of rows at a time.
 
         The bytes are those of `json.dumps(d, sort_keys=True, indent=2)`
         plus a newline, where d holds the axis names and values, the cells
-        in row-major order (null for a NaN cell), the metadata and,
+        in row-major order, the metadata and,
         when there are markers, `marker_name` and the markers.
         """
         blocks = self._row_blocks()
         fields = {
             "axis1_name": [json.dumps(self.axis1_name)],
-            "axis1_values": _json_array([_json_floats(self.axis1_values, "NaN")]),
+            "axis1_values": _json_array([_json_floats(self.axis1_values)]),
             "axis2_name": [json.dumps(self.axis2_name)],
-            "axis2_values": _json_array([_json_floats(self.axis2_values, "NaN")]),
-            "cells": _json_array(_json_floats(self.cells[lo:hi].ravel(), "null")
-                                 for lo, hi in blocks),
+            "axis2_values": _json_array([_json_floats(self.axis2_values)]),
+            "cells": _json_array(_json_floats(self.cells[lo:hi].ravel()) for lo, hi in blocks),
             # A nested value: its lines sit one level (two spaces) deeper.
             "metadata": [json.dumps(self.metadata, sort_keys=True, indent=2)
                          .replace("\n", "\n  ")],
@@ -179,14 +178,9 @@ class DeltaGrid:
         return buf.getvalue()
 
 
-def _json_floats(values: np.ndarray, nan: str) -> str:
-    """JSON text of the 1-D array `values`' items joined by _JSON_SEP, as
-    `json` writes them, except that a NaN becomes the text given as `nan`."""
-    texts = list(map(float.__repr__, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        v = values[k]
-        texts[k] = nan if np.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
-    return _JSON_SEP.join(texts)
+def _json_floats(values: np.ndarray) -> str:
+    """JSON text of a finite 1-D array's items, as `json` writes them, joined by _JSON_SEP."""
+    return _JSON_SEP.join(map(float.__repr__, values.tolist()))
 
 
 def _json_array(blocks: Iterable[str]) -> Iterator[str]:
@@ -201,20 +195,14 @@ def _json_array(blocks: Iterable[str]) -> Iterator[str]:
 
 
 def grid_from_json_dict(data: dict) -> DeltaGrid:
-    n1 = len(data["axis1_values"])
-    n2 = len(data["axis2_values"])
-    cells = np.array(
-        [np.nan if v is None else float(v) for v in data["cells"]]
-    ).reshape(n1, n2)
-    markers = None
-    if "markers" in data:
-        markers = np.array(data["markers"], dtype=np.int8).reshape(n1, n2)
+    shape = (len(data["axis1_values"]), len(data["axis2_values"]))
+    markers = data.get("markers")
     return DeltaGrid(
         axis1_name=data["axis1_name"],
         axis2_name=data["axis2_name"],
         axis1_values=np.array(data["axis1_values"], dtype=float),
         axis2_values=np.array(data["axis2_values"], dtype=float),
-        cells=cells,
+        cells=np.array(data["cells"], dtype=float).reshape(shape),
         metadata=data.get("metadata", {}),
-        markers=markers,
+        markers=None if markers is None else np.array(markers, dtype=np.int8).reshape(shape),
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .entropy import DeltaRecord
-from .errors import BlochNormExceeded, DomainError, ZeroTemperature
+from .errors import BlochNormExceeded, DomainError, NumericalFailure, ZeroTemperature
 from .grids import DeltaGrid, GridSpec
 
 LN2 = math.log(2.0)
@@ -88,10 +88,16 @@ def bloch_entropy(p_norm: float) -> float:
 
 
 def log_partition_qubit(bh: BlochHamiltonian, temperature: float) -> float:
-    """ln Tr(e^{-H/T}) = -h0/(2T) + ln(2 cosh(|h|/(2T)))."""
+    """ln Tr(e^{-H/T}) = -h0/(2T) + ln(2 cosh(|h|/(2T))).
+
+    NumericalFailure where h0/T or |h|/T overflows and ln Z is not a double.
+    """
     if temperature == 0.0:
         raise ZeroTemperature("T = 0 is not supported")
-    return float(_kernels.qubit_log_z(bh.h0, bh.norm, temperature))
+    log_z = float(_kernels.qubit_log_z(bh.h0, bh.norm, temperature))
+    if not math.isfinite(log_z):
+        raise NumericalFailure(f"ln Z = {log_z} at T = {temperature}: outside the double range")
+    return log_z
 
 
 def qubit_observables(s: BlochState, bh: BlochHamiltonian,

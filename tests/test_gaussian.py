@@ -78,6 +78,15 @@ def test_covariance_rejects_det_below_a_quarter():
     assert CovarianceState(sigma_pp=0.5, sigma_qq=0.5, sigma_pq=0.0).determinant == 0.25
 
 
+@pytest.mark.parametrize("entries", [(1.0, 1.0, 1e200), (1e200, 1e200, 0.0),
+                                     (1e200, 1e200, 1e200)])
+def test_covariance_rejects_a_determinant_past_the_double_range(entries):
+    # det sigma is -inf, +inf or inf - inf = NaN: not a bare OverflowError from
+    # squaring sigma_pq, and not an infinite det read as purity 0.
+    with pytest.raises(UnphysicalCovariance, match="double range"):
+        CovarianceState(*entries)
+
+
 def test_normalization_vacuum():
     g = GaussianParams(a1=0.5 + 0j, a2=0.0, b1=0j)
     assert math.isclose(normalization(g), math.sqrt(1.0 / math.pi), rel_tol=1e-12)

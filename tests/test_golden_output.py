@@ -4,8 +4,8 @@ The hashes were recorded from the CLI before grid output was streamed; a
 change to how grids are serialized must leave every one of them unchanged.
 Each case is written both to stdout and to --output FILE, and
 `to_csv_text()` / `to_json_text()` must give the same bytes as the CLI.
-A case whose every cell diverges has no hash: it must exit 3 with one
-`error:` line on stderr and write nothing.
+A case whose form diverges or whose Delta leaves the double range has no
+hash: it must exit 3 with one `error:` line on stderr and write nothing.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from entropyne import cli, grids
+from entropyne.errors import NumericalFailure
 from entropyne.grids import DeltaGrid
 
 QUBIT = ["qubit-grid", "--p-norm", "0.5", "--h-norm", "3.7416573867739413",
@@ -25,9 +26,9 @@ QUBIT = ["qubit-grid", "--p-norm", "0.5", "--h-norm", "3.7416573867739413",
 AMPLIFIER = ["amplifier-grid"]
 JSON = ["--format", "json"]
 
-DIVERGED = None
+EXITS_3 = None
 
-# name -> (argv, sha256 of the output bytes, or DIVERGED)
+# name -> (argv, sha256 of the output bytes, or EXITS_3)
 CASES = {
     "qubit-negative-t-csv": (
         QUBIT + ["--theta", "0:3.14159:9", "--temp=-5:-0.5:7"],
@@ -44,20 +45,20 @@ CASES = {
     # Marginal: 2k = omega0, so the grid exits 3 (every cell diverges) at any t.
     "amplifier-divergent-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
-        DIVERGED),
+        EXITS_3),
     "amplifier-divergent-json": (
         AMPLIFIER + ["--k", "0.5", "--t", "0.3", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
-        DIVERGED),
+        EXITS_3),
     # The same marginal k at t = 1: the 2k >= omega0 test does not read t, so
     # this exits 3 as well.
     "amplifier-marginal-csv": (
         AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"],
-        DIVERGED),
+        EXITS_3),
     "amplifier-marginal-json": (
         AMPLIFIER + ["--k", "0.5", "--t", "1", "--temp", "0.2:10:8", "--nbar", "0:4:5"]
         + JSON,
-        DIVERGED),
+        EXITS_3),
     # A positive-definite form down to beta omega_eff ~ 1e-8, where the
     # paper's su(1,1) ln Z loses its denominator to rounding (T >= 3.34e7):
     # the normal-mode ln Z keeps every cell within 4e-16 of its exact value.
@@ -67,15 +68,26 @@ CASES = {
     "amplifier-partial-json": (
         AMPLIFIER + ["--temp", "1e5:1e8:4", "--nbar", "1:2:2"] + JSON,
         "d2a8923c492d05ff8836c45693b2283aff7f35df1a7202beefa60a676399e630"),
-    # The T = 1e-300 column overflows to +inf.
+    # At T = 1e-300, -h0/(2T) overflows to +inf, so the cells there are inf
+    # although Delta ~ 0.75 is finite (ROADMAP item 7).
     "qubit-infinite-csv": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
          "--theta", "0:3:2", "--temp", "1e-300:1:3"],
-        "f599eb55f3588341d8c5b109a4b1d1361904d5f5987cd4fbf75448f03ff362ac"),
+        EXITS_3),
     "qubit-infinite-json": (
         ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--h0=-1e300",
          "--theta", "0:3:2", "--temp", "1e-300:1:3"] + JSON,
-        "fbcb151ffbf51c7aaf2001f8fcb9ab1e04b3edfce9c409632e7d36bb769655b3"),
+        EXITS_3),
+    # At T = 1e-300, -h0/(2T) and |h|/(2T) overflow to -inf and +inf, whose
+    # sum is NaN, although Delta ~ 7.5e299 is finite (ROADMAP item 7).
+    "qubit-nan-csv": (
+        ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1e300", "--h0", "1e300",
+         "--theta", "0:3:2", "--temp", "1e-300:1:2"],
+        EXITS_3),
+    "qubit-nan-json": (
+        ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1e300", "--h0", "1e300",
+         "--theta", "0:3:2", "--temp", "1e-300:1:2"] + JSON,
+        EXITS_3),
     # 2001 rows: several row blocks with a partial last block.
     "qubit-many-rows-csv": (
         QUBIT + ["--theta", "0:3.14159:2001", "--temp", "0.5:5:11"],
@@ -127,7 +139,7 @@ def check_output(name, capsys, out=None):
     argv, digest = CASES[name]
     code = cli.main(argv if out is None else argv + ["--output", str(out)])
     stdout, stderr = capsys.readouterr()
-    if digest is DIVERGED:
+    if digest is EXITS_3:
         assert code == 3 and stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert out is None or not out.exists()
@@ -179,7 +191,7 @@ def test_text_methods_match_cli_bytes(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_output", capture)
     out = tmp_path / "grid.out"
     code = cli.main(argv + ["--output", str(out)])
-    if CASES[name][1] is DIVERGED:
+    if CASES[name][1] is EXITS_3:
         assert code == 3 and written == []
         return
     assert code == 0
@@ -206,11 +218,16 @@ def test_many_rows_grid_ends_on_a_partial_block():
     assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
 
 
+MAX = np.finfo(np.float64).max
+# Finite extremes of a double: signed zeros, the smallest subnormal and the largest values.
+EXTREME_CELLS = [-0.0, 0.0, 5e-324, 1e-300, 1e300, -1e300, MAX, -MAX]
+
+
 def synthetic_grid():
-    """3x4 grid with NaN, +inf and -inf cells, argmin markers and metadata."""
-    cells = np.array([[0.1, np.nan, np.inf, -np.inf],
-                      [1e-300, -2.5, 1.0 / 3.0, np.nan],
-                      [np.nan, np.nan, np.nan, np.nan]])
+    """3x4 grid of finite extremes, with argmin markers and metadata."""
+    cells = np.array([[0.1, -0.0, MAX, -MAX],
+                      [1e-300, -2.5, 1.0 / 3.0, 5e-324],
+                      [0.0, 1e300, -1e300, -5e-324]])
     return DeltaGrid(
         axis1_name="T", axis2_name="nbar",
         axis1_values=np.array([0.5, 1.0, 1e300]),
@@ -221,17 +238,39 @@ def synthetic_grid():
     )
 
 
+def seeded_grid(seed, shape, marked, extreme_axis=False):
+    """A grid of random cells, a quarter of them drawn from EXTREME_CELLS."""
+    rng = np.random.default_rng(seed)
+    axis1, axis2 = rng.normal(size=shape[0]), rng.normal(size=shape[1]) * 1e5
+    cells = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = rng.random(shape) < 0.25
+    cells[special] = rng.choice(EXTREME_CELLS, special.sum())
+    if extreme_axis:
+        axis1[-1:], axis2[:1] = -MAX, 5e-324
+    return DeltaGrid("T", "nbar", axis1, axis2, cells, metadata={"seed": seed},
+                     markers=rng.integers(-1, 3, shape) if marked else None)
+
+
+# sha256 of (CSV, JSON) text, recorded with the writers as they were before a
+# grid had to be finite: a finite grid keeps those bytes.
+GRID_TEXT_SHA256 = {
+    "synthetic": ("0ff3be47f027319c43d5f88128c163de26892d3a47e2ebed91df688750ec3de8",
+                  "3f3283060e9a6eea647a40064b80b52ec56450af4999688f90c7775beb4861f5"),
+    "seeded": ("115766344f229347660ac4a5efe5fe080609f7d1b4f4a3587cb6c9f48b576c85",
+               "c665017055574148eba4b1bf9fe58d15dbb2a0be3e7847cefe4baee5c053aa08"),
+}
+
+
 def test_synthetic_grid_text():
-    grid = synthetic_grid()
-    assert sha256(grid.to_csv_text().encode("ascii")) == \
-        "6f70806404149b5be4cdd0e5f7b7892ea44840fc7327bf7efbd82f25acdfa124"
-    assert sha256(grid.to_json_text().encode("ascii")) == \
-        "8227e231fa86861322ee287e136b7e1174638ac35910cb4cb900f9d5c80038e6"
+    for name, grid in [("synthetic", synthetic_grid()),
+                       ("seeded", seeded_grid(3, (60, 7), True, extreme_axis=True))]:
+        assert (sha256(grid.to_csv_text().encode("ascii")),
+                sha256(grid.to_json_text().encode("ascii"))) == GRID_TEXT_SHA256[name]
 
 
 def per_cell_csv(grid):
     """The CSV text of `grid` built one field at a time: each float by
-    format(x, ".17g"), a NaN cell as an empty field, each marker by str(int)."""
+    format(x, ".17g"), each marker by str(int)."""
     lines = [f"# {key}={grid.metadata[key]}" for key in sorted(grid.metadata)]
     names = [grid.axis1_name, grid.axis2_name, "delta"]
     if grid.markers is not None:
@@ -239,30 +278,11 @@ def per_cell_csv(grid):
     lines.append(",".join(names))
     for i, a in enumerate(grid.axis1_values.tolist()):
         for j, b in enumerate(grid.axis2_values.tolist()):
-            cell = grid.cells[i, j]
-            fields = [format(a, ".17g"), format(b, ".17g"),
-                      "" if np.isnan(cell) else format(cell, ".17g")]
+            fields = [format(a, ".17g"), format(b, ".17g"), format(grid.cells[i, j], ".17g")]
             if grid.markers is not None:
                 fields.append(str(int(grid.markers[i, j])))
             lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-SPECIAL_CELLS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324]
-
-
-def seeded_grid(seed, shape, marked, nan_axis=False):
-    """A grid of random cells, a quarter of them drawn from SPECIAL_CELLS."""
-    rng = np.random.default_rng(seed)
-    axis1, axis2 = rng.normal(size=shape[0]), rng.normal(size=shape[1]) * 1e5
-    cells = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape)
-    special = rng.random(shape) < 0.25
-    cells[special] = rng.choice(SPECIAL_CELLS, special.sum())
-    if nan_axis:  # a NaN axis value prints as "nan", also beside a blank cell
-        axis1[-1:], axis2[:1] = np.nan, np.nan
-        cells[-1:, ::2], cells[::2, :1] = np.nan, np.nan
-    return DeltaGrid("T", "nbar", axis1, axis2, cells, metadata={"seed": seed},
-                     markers=rng.integers(-1, 3, shape) if marked else None)
 
 
 @pytest.mark.parametrize("block_cells", [1, 13, 50, grids._BLOCK_CELLS])
@@ -270,8 +290,8 @@ def seeded_grid(seed, shape, marked, nan_axis=False):
 @pytest.mark.parametrize("shape", [(7, 5), (1, 1), (3, 40), (60, 2), (0, 3), (2, 0)])
 def test_block_template_matches_per_cell_csv(shape, marked, block_cells, monkeypatch):
     monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
-    for seed, nan_axis in [(1, False), (2, False), (3, True)]:
-        grid = seeded_grid(seed, shape, marked, nan_axis)
+    for seed, extreme_axis in [(1, False), (2, False), (3, True)]:
+        grid = seeded_grid(seed, shape, marked, extreme_axis)
         assert grid.to_csv_text() == per_cell_csv(grid)
 
 
@@ -280,15 +300,25 @@ def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
     # The amplifier surface holds int8 markers; int64 and bool markers of the
     # same 0/1 values must write the same CSV and JSON.
     monkeypatch.setattr(grids, "_BLOCK_CELLS", block_cells)
-    seeded = seeded_grid(3, (60, 7), True, nan_axis=True)
-    for grid in [synthetic_grid(), seeded]:
+    for grid in [synthetic_grid(), seeded_grid(3, (60, 7), True, extreme_axis=True)]:
         flags = grid.markers > 0
         texts = {(g.to_csv_text(), g.to_json_text())
                  for g in (dataclasses.replace(grid, markers=flags.astype(dtype))
                            for dtype in (np.int8, np.int64, bool))}
         assert len(texts) == 1
-    # A 1 on a blank cell: the NaN blanking matches each marker's text.
-    assert (seeded.markers > 0)[np.isnan(seeded.cells)].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["cells", "axis1_values", "axis2_values"])
+def test_grid_rejects_non_finite_values(where, bad):
+    # A cell is a value of Delta, finite at every T != 0: one that is not is a
+    # numeric failure (exit 3).  An axis value that is not finite is a ValueError.
+    fields = {"axis1_values": np.ones(3), "axis2_values": np.arange(2.0),
+              "cells": np.ones((3, 2))}
+    fields[where][-1] = bad
+    error = NumericalFailure if where == "cells" else ValueError
+    with pytest.raises(error, match="overflows" if where == "cells" else "finite"):
+        DeltaGrid("T", "nbar", **fields)
 
 
 def test_markers_of_the_wrong_shape_are_rejected():

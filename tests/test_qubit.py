@@ -86,10 +86,22 @@ def test_log_partition_rejects_zero_temperature():
 
 
 def test_delta_record_past_the_double_range_raises():
-    # -h0/(2T) overflows ln Z to +inf at T = 1e-300; the kernel's overflow
-    # warning is not what this test checks.
-    with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+    # -h0/(2T) overflows ln Z to +inf at T = 1e-300, without a numpy warning.
+    with pytest.raises(NumericalFailure):
         qubit_delta_record(0.5, 0.0, BlochHamiltonian(-1e300, [0.0, 0.0, 1.0]), 1e-300)
+
+
+@pytest.mark.parametrize("h0, h_norm", [(-1e300, 1.0), (1e300, 1e300)])
+def test_log_partition_past_the_double_range_raises(h0, h_norm):
+    # At T = 1e-300, -h0/(2T) overflows ln Z to +inf, or to -inf + inf = NaN
+    # beside |h|/(2T): neither is a double, and numpy warns of nothing.
+    bh = BlochHamiltonian(h0, [0.0, 0.0, h_norm])
+    with pytest.raises(NumericalFailure, match="ln Z"):
+        log_partition_qubit(bh, 1e-300)
+    with pytest.raises(NumericalFailure, match="ln Z"):
+        qubit_observables(BlochState([0.0, 0.0, 0.5]), bh, 1e-300)
+    with pytest.raises(NumericalFailure, match="ln Z"):
+        qubit_delta_record(0.5, 0.0, bh, 1e-300)
 
 
 @pytest.mark.parametrize("seed", range(25))
