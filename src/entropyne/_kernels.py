@@ -6,9 +6,10 @@ whether a quadratic form converges, and raises DivergentPartition, before
 any cell is formed, when it does not.  A convergent form is an oscillator of
 frequency `effective_frequency` plus the constant Im(w2), so its ln Z is
 finite at every beta > 0 and does not depend on w0.  Delta = (E - T S) +
-T ln Z is built in `qubit_delta_cells` and `gaussian_delta_cells` (fed
-thermal light by `amplifier_delta_cells`); each family's scalar Delta is its
-kernel at length 1, so a grid cell and a scalar record agree on the value.
+T ln Z is built in `qubit_delta` (of `qubit_energy`, `qubit_entropy`, which
+holds the one Bloch-norm rule, and `qubit_log_z`) and `gaussian_delta_cells`
+(fed thermal light by `amplifier_delta_cells`); a scalar record runs the
+same code as its grid, so a grid cell and a record agree on the value.
 `su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
 coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
 one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
@@ -18,15 +19,17 @@ and `verify.refine_zero_temperature`.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import DivergentPartition, NumericalFailure
+from .errors import BlochNormExceeded, DivergentPartition, NumericalFailure
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
-# noise around 0 diverges instead of giving a noise-sized frequency.
-_FORM_RTOL = 4.0 * np.finfo(np.float64).eps
+# noise around 0 diverges instead of giving a noise-sized frequency (a float,
+# not numpy's, so that w1 w3 past the double range is inf without a warning).
+_FORM_RTOL = 4.0 * sys.float_info.epsilon
 # xi in su11_pieces caps phi here.  r^2 - 1 is 0 or at least ~1e-16 in size, and
 # sinh(40)^2 > 1e34, so capping changes no `xi < 1` decision, and it keeps
 # sinh^2 and its product with r^2 - 1 finite.
@@ -36,8 +39,14 @@ _PHI_CAP = 40.0
 _ROUND_FRACTIONS = np.linspace(0.0, 1.0, 257)
 
 
-def _qubit_entropy(p_norm: float) -> float:
-    """von Neumann entropy of a qubit of Bloch norm p_norm (nats), |p| clamped to 1."""
+def qubit_entropy(p_norm: float) -> float:
+    """von Neumann entropy (nats) of a qubit of Bloch norm p_norm: ln 2 at 0, 0 at 1.
+
+    The Bloch-norm rule: BlochNormExceeded unless 0 <= p_norm <= 1 + 1e-12
+    (NaN too); a norm in that slack above 1 counts as 1.
+    """
+    if not 0.0 <= p_norm <= 1.0 + 1e-12:
+        raise BlochNormExceeded(f"|p| = {p_norm} is not in [0, 1]")
     p_norm = min(p_norm, 1.0)
     s = math.log(2.0)
     if p_norm > 0.0:
@@ -58,6 +67,21 @@ def qubit_log_z(h0, h_norm, t):
         return -(0.5 * h0) / t + ax + np.log1p(np.exp(-2.0 * ax))
 
 
+def qubit_energy(p_norm: float, h0: float, h_norm: float, thetas):
+    """<E> = (h0 + |p| |h| cos theta)/2 for theta a float or an array (no warning)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
+
+
+def qubit_delta(energy, entropy: float, t, log_z):
+    """(E - T S) + T ln Z, rows E and columns T (floats give a float); inf or NaN past range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
+        out = np.subtract.outer(energy, t * entropy)
+        out += t * log_z
+    return out
+
+
 def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
                       thetas: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Distance parameter over a (theta, T) grid for fixed |p|, h0, |h|.
@@ -66,12 +90,8 @@ def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
     """
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     t = np.ascontiguousarray(temps, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
-        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-        out = np.subtract.outer(energy, t * _qubit_entropy(p_norm))
-        out += t * qubit_log_z(h0, h_norm, t)
-    return out
+    return qubit_delta(qubit_energy(p_norm, h0, h_norm, thetas), qubit_entropy(p_norm),
+                       t, qubit_log_z(h0, h_norm, t))
 
 
 def effective_frequency(omega1: float, omega2_re: float, omega3: float) -> float:

@@ -73,9 +73,6 @@ def _grid_common_metadata(args, extra: dict) -> dict:
 def cmd_qubit_grid(args) -> int:
     theta_spec = _grid_spec(args.theta)
     temp_spec = _grid_spec(args.temp)
-    temps = temp_spec.values()
-    if np.any(temps == 0.0) or (temps.min() < 0.0 < temps.max()):
-        raise UsageError("temperature range must be sign-homogeneous and exclude 0")
     ham = BlochHamiltonian(h0=args.h0, h=np.array([0.0, 0.0, args.h_norm]))
     grid = qubit_delta_grid(args.p_norm, ham, theta_spec, temp_spec)
     grid.metadata = _grid_common_metadata(args, {

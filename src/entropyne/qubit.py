@@ -1,9 +1,10 @@
 """Closed-form qubit machinery: Bloch parametrizations and distance grids.
 
-A qubit state is its Bloch 3-vector p (|p| <= 1); a qubit Hamiltonian is a
-trace h0 plus its own Bloch 3-vector h, with eigenvalues (h0 +- |h|)/2.
-Theta below is always the angle between p and h; the distance parameter is
-azimuth-invariant, so the azimuth is fixed to 0.
+A qubit state is its Bloch 3-vector p (|p| <= 1, the bound `bloch_entropy`
+alone checks); a qubit Hamiltonian is a trace h0 plus its own Bloch 3-vector h,
+with eigenvalues (h0 +- |h|)/2.  Theta below is always the angle between p and
+h; the distance parameter is azimuth-invariant, so the azimuth is fixed to 0.
+`qubit_delta_grid` alone decides which temperature axes are allowed.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import qubit_entropy as bloch_entropy
 from .entropy import DeltaRecord
-from .errors import BlochNormExceeded, DomainError, NumericalFailure, ZeroTemperature
+from .errors import DomainError, NumericalFailure, ZeroTemperature
 from .grids import DeltaGrid, GridSpec
-
-LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class BlochState:
@@ -30,8 +29,7 @@ class BlochState:
         object.__setattr__(self, "p", p)
         if p.shape != (3,):
             raise ValueError("p must be a 3-vector")
-        if self.norm > 1.0 + 1e-12:
-            raise BlochNormExceeded(f"|p| = {self.norm} > 1")
+        bloch_entropy(self.norm)  # BlochNormExceeded unless 0 <= |p| <= 1 + 1e-12
 
     @property
     def norm(self) -> float:
@@ -77,16 +75,6 @@ def hamiltonian_from_bloch(bh: BlochHamiltonian) -> np.ndarray:
     )
 
 
-def bloch_entropy(p_norm: float) -> float:
-    """von Neumann entropy of a qubit with Bloch norm p_norm.
-
-    Equals ln 2 at p = 0 and 0 at p = 1 (x ln x -> 0 convention).
-    """
-    if not 0.0 <= p_norm <= 1.0 + 1e-12:
-        raise BlochNormExceeded(f"|p| = {p_norm}")
-    return _kernels._qubit_entropy(p_norm)
-
-
 def log_partition_qubit(bh: BlochHamiltonian, temperature: float) -> float:
     """ln Tr(e^{-H/T}) = -h0/(2T) + ln(2 cosh(|h|/(2T))).
 
@@ -104,11 +92,7 @@ def qubit_observables(s: BlochState, bh: BlochHamiltonian,
                       temperature: float) -> QubitObservables:
     """Mean energy, entropy and log-partition of a (state, Hamiltonian, T) triple."""
     energy = 0.5 * (bh.h0 + float(np.dot(s.p, bh.h)))
-    return QubitObservables(
-        energy=energy,
-        entropy=bloch_entropy(s.norm),
-        log_partition=log_partition_qubit(bh, temperature),
-    )
+    return QubitObservables(energy, bloch_entropy(s.norm), log_partition_qubit(bh, temperature))
 
 
 def equilibrium_bloch(bh: BlochHamiltonian, temperature: float) -> BlochState:
@@ -130,7 +114,7 @@ def equilibrium_temperature(p_norm: float, h_norm: float, sign: int = 1) -> floa
     """|h| / (2 arctanh |p|), signed; the temperature where the distance vanishes."""
     if not 0.0 < p_norm < 1.0:
         raise DomainError(f"p_norm must lie in (0, 1), got {p_norm}")
-    if h_norm <= 0.0:
+    if not h_norm > 0.0:
         raise DomainError(f"h_norm must be positive, got {h_norm}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -139,27 +123,25 @@ def equilibrium_temperature(p_norm: float, h_norm: float, sign: int = 1) -> floa
 
 def qubit_delta_record(p_norm: float, theta: float, bh: BlochHamiltonian,
                        temperature: float) -> DeltaRecord:
-    """Distance record with p at angle theta from h's axis, azimuth 0: one kernel cell."""
-    energy = 0.5 * (bh.h0 + p_norm * bh.norm * math.cos(theta))
+    """Distance record with p at angle theta from h's axis, azimuth 0.
+
+    E, S and ln Z are evaluated once, and Delta by the grid kernel's code.
+    """
+    for name, value in (("theta", theta), ("T", temperature)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    energy = float(_kernels.qubit_energy(p_norm, bh.h0, bh.norm, theta))
     entropy, log_z = bloch_entropy(p_norm), log_partition_qubit(bh, temperature)
-    cell = _kernels.qubit_delta_cells(p_norm, bh.h0, bh.norm, [theta], [temperature])[0, 0]
-    return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
+    delta = float(_kernels.qubit_delta(energy, entropy, temperature, log_z))
+    return DeltaRecord(energy, entropy, log_z, temperature, delta)
 
 
 def qubit_delta_grid(p_norm: float, bh: BlochHamiltonian, theta_range: GridSpec,
                      T_range: GridSpec) -> DeltaGrid:
     """Distance parameter over an inclusive (theta, T) grid, row-major in theta."""
-    thetas = theta_range.values()
-    temps = T_range.values()
+    thetas, temps = theta_range.values(), T_range.values()
     if np.any(temps == 0.0) or (temps.min() < 0.0 < temps.max()):
         raise ZeroTemperature("temperature range must be sign-homogeneous and exclude 0")
-    if not 0.0 <= p_norm <= 1.0 + 1e-12:
-        raise BlochNormExceeded(f"|p| = {p_norm}")
     cells = _kernels.qubit_delta_cells(p_norm, bh.h0, bh.norm, thetas, temps)
-    return DeltaGrid(
-        axis1_name="theta",
-        axis2_name="T",
-        axis1_values=thetas,
-        axis2_values=temps,
-        cells=cells,
-    )
+    return DeltaGrid(axis1_name="theta", axis2_name="T", axis1_values=thetas,
+                     axis2_values=temps, cells=cells)

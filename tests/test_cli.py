@@ -212,7 +212,6 @@ def test_tsallis_series_sigma_below_support_threshold_exits_3(tmp_path, capsys):
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["qubit-grid", "--p-norm", "0.5"]) == 2  # missing required flags
-    assert main(QUBIT_ARGS[:-2] + ["--temp", "-1:1:5"]) == 2  # mixed-sign T
     assert main(["tsallis", "--rho-file", "/nonexistent", "--sigma-file",
                  "/nonexistent", "--q", "2"]) == 2
     rho, sigma = write_state_pair(tmp_path)
@@ -242,6 +241,29 @@ def test_domain_errors_exit_3(capsys):
     assert err == "error: the form is not positive definite: no convergent partition function\n"
     assert main(["gaussian-z", "--omega1", "0.5", "--omega3", "0.5",
                  "--beta", "-1"]) == 3
+
+
+def qubit_args(p_norm="0.5", temp="1:2:2"):
+    return ["qubit-grid", "--p-norm", p_norm, "--h-norm", "1", "--theta", "0:3:2",
+            f"--temp={temp}"]
+
+
+# A spec that parses but holds a value outside its family's domain exits 3,
+# with one error line and no output, whichever family decides it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    qubit_args(temp="-1:1:3"),  # mixed-sign T through 0
+    qubit_args(temp="0:1:3"),
+    qubit_args(p_norm="1.5"),
+    qubit_args(p_norm="nan"),
+    ["amplifier-grid", "--temp", "0:1:3", "--nbar", "1:2:2"],
+    ["amplifier-grid", "--temp", "1:2:2", "--nbar=-1:2:2"],
+    # omega1 omega3 = 1e400 is past the double range: the form rule rejects
+    # it (ROADMAP item 14) without a numpy overflow warning.
+    ["gaussian-z", "--omega1", "1e200", "--omega3", "1e200", "--beta", "1e-200"],
+])
+def test_out_of_domain_value_exits_3(args, capsys):
+    assert_one_error_line(args, capsys)
 
 
 @pytest.mark.parametrize("omega0", ["1e-9", "1", "1e4", "1e9"])

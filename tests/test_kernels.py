@@ -249,7 +249,7 @@ def broadcast_qubit_cells(p_norm, h0, h_norm, thetas, temps):
     """The kernel as one broadcast expression: E - T S + T ln Z."""
     t = temps[None, :]
     energy = 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))[:, None]
-    return energy - t * _kernels._qubit_entropy(p_norm) + t * _kernels.qubit_log_z(h0, h_norm, t)
+    return energy - t * _kernels.qubit_entropy(p_norm) + t * _kernels.qubit_log_z(h0, h_norm, t)
 
 
 def broadcast_amplifier_cells(temps, nbars, h):

@@ -58,6 +58,16 @@ def test_bloch_norm_bound():
         BlochState(np.array([1.0, 1.0, 0.0]))
 
 
+def test_bloch_norm_bound_rejects_nan():
+    # |p| = NaN fails the same rule as |p| > 1, in the state, the entropy and the grid.
+    with pytest.raises(BlochNormExceeded):
+        BlochState(np.array([math.nan, 0.0, 0.0]))
+    with pytest.raises(BlochNormExceeded):
+        bloch_entropy(math.nan)
+    with pytest.raises(BlochNormExceeded):
+        qubit_delta_grid(math.nan, HAM_Z, GridSpec(0.0, 1.0, 2), GridSpec(1.0, 2.0, 2))
+
+
 def test_hamiltonian_from_bloch_examples():
     assert np.allclose(
         hamiltonian_from_bloch(BlochHamiltonian(0.0, np.array([0.0, 0.0, 2.0]))),
@@ -146,6 +156,35 @@ def test_equilibrium_temperature_values():
 def test_equilibrium_temperature_domain(p_norm):
     with pytest.raises(DomainError):
         equilibrium_temperature(p_norm, H_NORM)
+
+
+@pytest.mark.parametrize("h_norm", [0.0, math.nan])
+def test_equilibrium_temperature_rejects_h_norm(h_norm):
+    with pytest.raises(DomainError, match="h_norm"):
+        equilibrium_temperature(0.5, h_norm)
+
+
+@pytest.mark.parametrize("theta,t,name", [(math.nan, 1.0, "theta"), (math.inf, 1.0, "theta"),
+                                          (0.0, math.nan, "T"), (0.0, -math.inf, "T")])
+def test_record_rejects_non_finite_theta_or_temperature(theta, t, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        qubit_delta_record(0.5, theta, HAM_Z, t)
+
+
+def test_record_evaluates_each_piece_once(monkeypatch):
+    from entropyne import _kernels
+
+    calls = []
+    for name in ("qubit_energy", "qubit_log_z"):
+        piece = getattr(_kernels, name)
+
+        def counting(*args, _piece=piece, _name=name):
+            calls.append(_name)
+            return _piece(*args)
+
+        monkeypatch.setattr(_kernels, name, counting)
+    qubit_delta_record(0.5, 1.0, HAM_Z, 2.0)
+    assert sorted(calls) == ["qubit_energy", "qubit_log_z"]
 
 
 @pytest.mark.parametrize("p_norm,theta,sign", [(0.01, math.pi, 1),
