@@ -66,7 +66,6 @@ from .gaussian import (
     entropy_gaussian,
     fock_diagonal_element,
     gaussian_delta,
-    legendre_pn,
     log_partition_function,
     mean_energy,
     normalization,
@@ -151,7 +150,6 @@ __all__ = [
     "entropy_gaussian",
     "fock_diagonal_element",
     "gaussian_delta",
-    "legendre_pn",
     "log_partition_function",
     "mean_energy",
     "normalization",

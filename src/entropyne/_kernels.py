@@ -30,9 +30,8 @@ from .errors import BlochNormExceeded, DivergentPartition, NumericalFailure
 # noise around 0 diverges instead of giving a noise-sized frequency (a float,
 # not numpy's, so that w1 w3 past the double range is inf without a warning).
 _FORM_RTOL = 4.0 * sys.float_info.epsilon
-# xi in su11_pieces caps phi here.  r^2 - 1 is 0 or at least ~1e-16 in size, and
-# sinh(40)^2 > 1e34, so capping changes no `xi < 1` decision, and it keeps
-# sinh^2 and its product with r^2 - 1 finite.
+# xi in su11_pieces caps phi here, so that sinh^2 and its product with r^2 - 1
+# stay finite; the other pieces take phi uncapped.
 _PHI_CAP = 40.0
 # Where argmin_rounds samples its bracket, as fractions of it; each round
 # keeps two of the 256 steps, so the bracket shrinks 128x.

@@ -190,8 +190,8 @@ def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
     """Coefficients of e^{-beta H} = e^{-beta Im(w2)} e^{A+ K+} e^{ln(A0) K0} e^{A- K-}.
 
     xi = (r^2 - 1) sinh^2(phi) follows phi = beta weff up to
-    `_kernels._PHI_CAP` (40) and keeps its value at the cap past it; that
-    changes no `xi < 1` decision, and xi stays finite.
+    `_kernels._PHI_CAP` (40) and keeps its value at the cap past it, so
+    that xi stays finite.
     """
     weff = _convergent_frequency(h, beta)
     phi, ln_sqrt_zeta, u, _, xi = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
@@ -230,30 +230,26 @@ def partition_function(h: QuadraticHamiltonian, beta: float) -> float:
         raise NumericalFailure(f"Z = exp({log_z}) overflows a double") from None
 
 
-def legendre_pn(n: int, z: float) -> float:
-    """P_n(z) by the three-term recurrence; stable for z >= 1."""
+def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float:
+    """<n| e^{-beta H} |n> = e^{-beta Im(w2)} A0^{1/4} R_n at every beta > 0.
+
+    R_m = t^m P_m(1/sqrt(1 - xi)), t^2 = A0 - zeta xi, a polynomial in 1 - xi:
+    R_0 = 1, R_{m+1} = ((2m + 1) sqrt(A0) R_m - m t^2 R_{m-1}) / (m + 1).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 500:
-        raise DomainError("recurrence order capped at 500")
-    p_prev, p = 1.0, z
-    if n == 0:
-        return p_prev
-    for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1) * z * p - m * p_prev) / (m + 1)
-    return p
-
-
-def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float:
-    """<n| e^{-beta H} |n> = e^{-beta Im(w2)} A0^{1/4} (A0(1-xi))^{n/2} P_n(1/sqrt(1-xi))."""
     weff = _convergent_frequency(h, beta)
-    _, ln_sqrt_zeta, _, zeta_xi, xi = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
-    if xi >= 1.0:
-        raise DomainError(f"xi = {xi} >= 1: Legendre argument is not real")
-    a_zero = math.exp(2.0 * ln_sqrt_zeta)
-    t = math.sqrt(max(a_zero - zeta_xi, 0.0))
-    z = 1.0 / math.sqrt(1.0 - xi)
-    return math.exp(-beta * h.omega2.imag) * a_zero**0.25 * t**n * legendre_pn(n, z)
+    _, ln_sqrt_zeta, _, zeta_xi, _ = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
+    sqrt_a0, t2 = math.exp(ln_sqrt_zeta), math.exp(2.0 * ln_sqrt_zeta) - zeta_xi
+    r_prev, r = 0.0, 1.0  # R_{-1} (weight 0 in the first step) and R_0
+    for m in range(n):
+        r_prev, r = r, ((2 * m + 1) * sqrt_a0 * r - m * t2 * r_prev) / (m + 1)
+    # One exponent: e^{-beta Im(w2)} alone overflows where the element may not.
+    log_scale = 0.5 * ln_sqrt_zeta - beta * h.omega2.imag
+    try:
+        return math.exp(log_scale) * r
+    except OverflowError:
+        raise NumericalFailure(f"e^{{-beta Im(w2)}} A0^{{1/4}} = e^{log_scale} overflows") from None
 
 
 def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,

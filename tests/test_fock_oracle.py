@@ -18,8 +18,11 @@ from entropyne import (
     thermal_light_fock,
 )
 from entropyne.amplifier import AmplifierConfig, amplifier_hamiltonian
-from entropyne.errors import DomainError
-from entropyne.gaussian import fock_diagonal_element, random_quadratic_hamiltonian
+from entropyne.gaussian import (
+    fock_diagonal_element,
+    random_quadratic_hamiltonian,
+    su11_coefficients,
+)
 
 from dense_fock import (
     FockTruncation,
@@ -291,12 +294,53 @@ def test_boltzmann_diagonal_matches_dense(h):
 def test_boltzmann_diagonal_matches_closed_form(h):
     for beta in (0.5, 1.0, 2.0):
         diag = fock.boltzmann_diagonal(h, beta, 200)
-        try:
-            closed = [fock_diagonal_element(h, beta, n) for n in range(31)]
-        except DomainError:  # xi >= 1: the Legendre argument is not real
-            assert h.omega2.imag != 0.0 and beta == 2.0
-            continue
+        closed = [fock_diagonal_element(h, beta, n) for n in range(31)]
         assert np.abs(diag[:31] - closed).max() <= 1e-15
+
+
+# The default amplifier passes xi = 1 at beta = 2.34 (xi = 3.70 at beta = 3),
+# the near-marginal one (k = 0.45) at beta = 1.07.
+PAST_XI_ONE_FORMS = [amplifier_hamiltonian(AmplifierConfig()),
+                     amplifier_hamiltonian(AmplifierConfig(k=0.45, t=0.3))]
+
+
+def reference_diagonal(mpmath, h, beta, n):
+    """The paper's e^{-beta Im(w2)} A0^{1/4} t^n P_n(z), t^2 = A0 (1 - xi) and
+    z = 1/sqrt(1 - xi), at 60 digits from h's coefficients.
+
+    Past xi = 1, t and z are imaginary; t^n P_n(z) is still real, and its
+    real part is taken.
+    """
+    with mpmath.workdps(60):
+        w0, w1, w3 = (mpmath.mpf(v) for v in (h.omega0, h.omega1, h.omega3))
+        w2 = mpmath.mpf(h.omega2.real)
+        weff = 2 * mpmath.sqrt(w1 * w3 - w2 * w2)
+        phi, r = mpmath.mpf(beta) * weff, (w0 * w1 + w3 / w0) / weff
+        a_zero = 1 / (mpmath.cosh(phi) + r * mpmath.sinh(phi)) ** 2
+        s = mpmath.sqrt(mpmath.mpc(1 - (r * r - 1) * mpmath.sinh(phi) ** 2))
+        r_n = (mpmath.sqrt(a_zero) * s) ** n * mpmath.legendre(n, 1 / s)
+        shift = mpmath.exp(-mpmath.mpf(beta) * mpmath.mpf(h.omega2.imag))
+        return float(shift * mpmath.root(a_zero, 4) * mpmath.re(r_n))
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0, 5.0, 20.0])
+@pytest.mark.parametrize("h", PAST_XI_ONE_FORMS)
+def test_diagonal_element_past_xi_one(h, beta):
+    mpmath = pytest.importorskip("mpmath")
+    assert su11_coefficients(h, beta).xi > 1.0 or beta == 1.0
+    diag = fock.boltzmann_diagonal(h, beta, 200)
+    # n = 1000 is a long recurrence; on the default amplifier that element
+    # (~1e-340) underflows to 0.
+    for n in (0, 1, 2, 5, 10, 30, 60, 1000):
+        closed = fock_diagonal_element(h, beta, n)
+        exact = reference_diagonal(mpmath, h, beta, n)
+        # Each step of the recurrence, and each of the n/2 powers of A0 in
+        # R_n, adds rounding: 6.4e-14 at n = 60, 2.9e-13 at n = 1000.
+        assert abs(closed - exact) <= (n + 1) * 4e-15 * exact, (n, closed, exact)
+        # The oracle's precision is absolute, a few ulps of its largest
+        # elements, so it is read only where the element is not tiny.
+        if n < 200 and closed > 1e-12 * diag[0]:
+            assert abs(closed - diag[n]) <= 1e-14 * diag[0], (n, closed, diag[n])
 
 
 @pytest.mark.parametrize("n_max", [2, 60])

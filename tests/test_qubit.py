@@ -165,10 +165,18 @@ def test_equilibrium_temperature_rejects_h_norm(h_norm):
 
 
 @pytest.mark.parametrize("theta,t,name", [(math.nan, 1.0, "theta"), (math.inf, 1.0, "theta"),
-                                          (0.0, math.nan, "T"), (0.0, -math.inf, "T")])
+                                          (0.0, math.nan, "T"), (0.0, -math.inf, "T"),
+                                          (0.0, math.inf, "T")])
 def test_record_rejects_non_finite_theta_or_temperature(theta, t, name):
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         qubit_delta_record(0.5, theta, HAM_Z, t)
+    if name == "T":  # the record's temperature rule is that of every single-T call
+        state = BlochState(np.array([0.0, 0.0, 0.5]))
+        for call in (lambda: log_partition_qubit(HAM_Z, t),
+                     lambda: qubit_observables(state, HAM_Z, t),
+                     lambda: equilibrium_bloch(HAM_Z, t)):
+            with pytest.raises(DomainError, match="^T must be finite"):
+                call()
 
 
 def test_record_evaluates_each_piece_once(monkeypatch):
