@@ -5,8 +5,11 @@ Everything here recomputes the closed forms of the gaussian module by an
 independent route: truncated number-basis traces for partition functions,
 and deterministic quadrature of the position kernel for moments.  The
 traces in stable_partition split the exact ladder matrix elements by
-parity into two real symmetric tridiagonal blocks, solved with
-numpy.linalg.eigvalsh, from N_START = 112 levels up in steps of N_STEP = 16.
+parity into two real symmetric tridiagonal blocks, from N_START = 112
+levels up in steps of N_STEP = 16.  Their eigenvalues come from LAPACK
+dsterf, an O(N^2) tridiagonal solver, taken from the OpenBLAS that
+numpy.linalg itself links; where numpy links another LAPACK the blocks go
+to numpy.linalg.eigvalsh as dense matrices instead.
 The levels that carry e^{-beta lambda} above 1e-12 of Z are exact in such
 blocks: every form with beta * omega_eff >= 0.8 and |Re omega2| <= 0.6
 sqrt(omega1 omega3) settles at the first three sizes, so a trace of such a
@@ -24,17 +27,20 @@ the assignment that reproduces the closed-form covariance entries.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import QuadratureUnstable, TruncationUnstable
+from .errors import NumericalFailure, QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
 
 # Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...  Its
 # n_cap is at least N_CAP_MIN, the lower size of the second step (the first
-# step that can converge), and at most N_CAP_MAX, since each solve is a
-# dense parity block.
+# step that can converge), and at most N_CAP_MAX, since each solve without
+# dsterf is a dense parity block.
 N_START = 112
 N_STEP = 16
 N_CAP_MIN = N_START + N_STEP
@@ -86,16 +92,64 @@ def _parity_blocks(h: QuadraticHamiltonian, w: float, n_max: int) -> np.ndarray:
     return blocks.reshape(2, m, m)
 
 
+@functools.cache
+def _lapack_dsterf():
+    """LAPACK dsterf from the OpenBLAS that numpy.linalg links, or None.
+
+    dsterf(N, D, E, INFO) overwrites D with the ascending eigenvalues of the
+    real symmetric tridiagonal matrix with diagonal D and off-diagonal E, in
+    O(N^2), and destroys E.  numpy's wheels link an ILP64 OpenBLAS that
+    exports it as scipy_dsterf_64_ (64-bit N and INFO), and dlsym on numpy's
+    own linalg extension searches that library too.  A numpy built against
+    another LAPACK has no such symbol.  Resolved on the first solve.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        sterf = ctypes.CDLL(_umath_linalg.__file__).scipy_dsterf_64_
+    except (OSError, AttributeError):
+        return None
+    int64_p = ctypes.POINTER(ctypes.c_int64)
+    sterf.argtypes = (int64_p, ctypes.c_void_p, ctypes.c_void_p, int64_p)
+    sterf.restype = None
+    return sterf
+
+
 def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     """Sorted spectrum of H on the lowest n_max (even) levels of the matched basis.
 
     The spectrum does not depend on the basis scale, so the number basis of
     frequency w = sqrt(omega3/omega1) is used: it minimizes the squeezing
     between basis and Hamiltonian and with it the truncation edge artifacts.
-    Both parity blocks go to one stacked numpy.linalg.eigvalsh call.
+    With dsterf (_lapack_dsterf) both parity blocks go to one call, joined
+    by a zero off-diagonal at which dsterf splits, and come back sorted.
+    Without it they go to one stacked numpy.linalg.eigvalsh call, which
+    first re-tridiagonalizes each dense block in O(n_max^3).
     """
-    blocks = _parity_blocks(h, np.sqrt(h.omega3 / h.omega1), n_max)
-    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    w = np.sqrt(h.omega3 / h.omega1)
+    with np.errstate(all="ignore"):
+        diag, off = number_basis_bands(h, w, n_max)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalFailure(
+            f"number-basis bands of {h} leave the double range by n_max = {n_max}"
+        )
+    sterf = _lapack_dsterf()
+    if sterf is None:
+        return np.sort(np.linalg.eigvalsh(_parity_blocks(h, w, n_max)), axis=None)
+    # Fresh contiguous copies: dsterf overwrites d and destroys e.
+    d = np.concatenate((diag[0::2], diag[1::2]))
+    e = np.concatenate((off[0::2], [0.0], off[1::2]))
+    n, info = ctypes.c_int64(n_max), ctypes.c_int64(0)
+    sterf(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalFailure(f"LAPACK dsterf failed (info = {info.value}) "
+                               f"at n_max = {n_max} for {h}")
+    return d
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
@@ -105,7 +159,9 @@ def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
 
     The phase gauge of _parity_blocks is diagonal, so it leaves the diagonal
     of e^{-beta H} unchanged.  Levels near n_max carry the truncation error.
+    beta must lie in (0, inf).
     """
+    _check_beta(beta)
     if n_max < 2 or n_max % 2:
         raise ValueError(f"n_max must be even and >= 2, got {n_max}")
     w, v = np.linalg.eigh(_parity_blocks(h, h.omega0, n_max))
@@ -123,10 +179,10 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
     frozen.  Each size's spectrum is computed once and reused as the lower
     size of the next step.  n_cap, the largest lower size of a step, lies
     in [N_CAP_MIN, N_CAP_MAX]: convergence compares the sums of two steps,
-    and the blocks are dense, so memory grows as n_cap^2.
+    and without dsterf the blocks are dense, so memory grows as n_cap^2.
+    beta must lie in (0, inf).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     if not N_CAP_MIN <= n_cap <= N_CAP_MAX:
         raise ValueError(f"n_cap must be in [{N_CAP_MIN}, {N_CAP_MAX}], got {n_cap}")
     if h.omega1 * h.omega3 <= 0.0:
@@ -166,8 +222,10 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
 
 def thermal_light_fock(nbar: float, n_max: int) -> np.ndarray:
     """Truncated geometric photon-number state diag(nbar^n / (1+nbar)^{n+1})."""
-    if nbar < 0.0:
-        raise ValueError("nbar must be >= 0")
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     n = np.arange(n_max)
     if nbar == 0.0:
         probs = np.zeros(n_max)

@@ -10,6 +10,7 @@ import scipy.linalg
 from entropyne import fock
 from entropyne import (
     GaussianParams,
+    NumericalFailure,
     QuadraticHamiltonian,
     TruncationUnstable,
     kernel_moments,
@@ -175,9 +176,25 @@ def matched_dense_matrix(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
                                         FockTruncation(n_max, w))
 
 
-@pytest.mark.parametrize("n_max", [200, 300, 550])
+SOLVERS = ["dsterf", "eigvalsh"]
+
+
+def use_solver(monkeypatch, solver: str) -> None:
+    """Route _matched_basis_spectrum to LAPACK dsterf, or to the stacked
+    numpy.linalg.eigvalsh that a numpy linked to another LAPACK runs."""
+    if solver == "eigvalsh":
+        monkeypatch.setattr(fock, "_lapack_dsterf", lambda: None)
+    elif fock._lapack_dsterf() is None:
+        pytest.skip("numpy's LAPACK exports no dsterf")
+
+
+# Every size on both solver paths; the dsterf cases keep the bare size as id.
+@pytest.mark.parametrize("n_max, solver", [
+    pytest.param(n, solver, id=str(n) if solver == "dsterf" else f"{n}-{solver}")
+    for solver in SOLVERS for n in (200, 300, 550)])
 @pytest.mark.parametrize("h", CROSS_CHECK_FORMS)
-def test_tridiagonal_spectrum_matches_dense(h, n_max):
+def test_tridiagonal_spectrum_matches_dense(h, n_max, solver, monkeypatch):
+    use_solver(monkeypatch, solver)
     dense = np.sort(scipy.linalg.eigvalsh(matched_dense_matrix(h, n_max)))[:50]
     tridiagonal = fock._matched_basis_spectrum(h, n_max)[:50]
     assert (np.abs(tridiagonal - dense) / np.abs(dense)).max() <= 1e-12
@@ -216,14 +233,31 @@ WORK_CASES = ([(seed, 0.5 + seed * 0.3) for seed in range(6)]
               + [(2024 + i, 0.5 + (i % 5) * 0.5) for i in range(50)])
 
 
-def test_stable_partition_work_is_pinned(solved_sizes):
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_stable_partition_work_is_pinned(solved_sizes, solver, monkeypatch):
     # The levels that matter are exact in small blocks, so no solve needs
     # more than 200 levels and the trace still meets the closed form to 1e-13.
+    use_solver(monkeypatch, solver)
     for seed, beta in WORK_CASES:
         h = random_quadratic_hamiltonian(seed)
         closed = partition_function(h, beta)
         assert abs(stable_partition(h, beta) - closed) <= 1e-13 * closed
     assert max(solved_sizes) <= 200
+
+
+def test_solver_paths_agree_at_work_sizes(solved_sizes, monkeypatch):
+    use_solver(monkeypatch, "dsterf")
+    solves = []
+    for seed, beta in WORK_CASES:
+        h = random_quadratic_hamiltonian(seed)
+        solved_sizes.clear()
+        stable_partition(h, beta)
+        solves += [(h, n_max) for n_max in solved_sizes]
+    fast = [fock._matched_basis_spectrum(h, n_max) for h, n_max in solves]
+    use_solver(monkeypatch, "eigvalsh")
+    for (h, n_max), w in zip(solves, fast):
+        dense = fock._matched_basis_spectrum(h, n_max)
+        assert (np.abs(w - dense) / np.abs(dense)).max() <= 1e-13, (h, n_max)
 
 
 def test_stable_partition_work_does_not_depend_on_form(solved_sizes):
@@ -251,6 +285,38 @@ def test_stable_partition_rejects_cap_out_of_range(n_cap, monkeypatch):
     monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
     with pytest.raises(ValueError, match="n_cap must be in \\[128, 1000\\]"):
         stable_partition(oscillator(1.0), 1.0, n_cap=n_cap)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_oracle_rejects_beta_outside_open_half_line(beta, monkeypatch):
+    monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
+    monkeypatch.setattr(fock, "_parity_blocks", None)  # no block may be built
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        stable_partition(oscillator(1.0), beta)
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        fock.boltzmann_diagonal(oscillator(1.0), beta, 4)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("omega1, omega3", [(1e-300, 1e300), (1e300, 1e-300),
+                                            (1e307, 1e307)])
+def test_stable_partition_refuses_bands_outside_double_range(omega1, omega3, solver,
+                                                             monkeypatch):
+    # The matched basis w = sqrt(omega3/omega1) overflows, underflows to 0,
+    # or the diagonal overflows: no solver gets infinite bands.
+    use_solver(monkeypatch, solver)
+    h = QuadraticHamiltonian(omega0=1.0, omega1=omega1, omega2=0j, omega3=omega3)
+    with pytest.raises(NumericalFailure, match="leave the double range"):
+        stable_partition(h, 1.0)
+
+
+def test_dsterf_info_is_numerical_failure(monkeypatch):
+    def failing(n, d, e, info):
+        info._obj.value = 7  # dsterf's INFO > 0: no convergence
+
+    monkeypatch.setattr(fock, "_lapack_dsterf", lambda: failing)
+    with pytest.raises(NumericalFailure, match="info = 7"):
+        stable_partition(oscillator(1.0), 1.0)
 
 
 @pytest.mark.parametrize("omega1, omega3", [(0.5, -0.5), (-0.5, 0.5), (0.0, 0.5)])
@@ -369,6 +435,13 @@ def test_thermal_light_fock_properties(nbar):
     assert abs(-(pos * np.log(pos)).sum() - s_exact) <= 1e-8
     hm = quadratic_hamiltonian_matrix(oscillator(1.0), FockTruncation(n_max, 1.0))
     assert abs(np.trace(rho @ hm).real - (nbar + 0.5)) <= 1e-8
+
+
+@pytest.mark.parametrize("nbar, n_max", [(math.nan, 10), (math.inf, 10), (-1.0, 10),
+                                         (0.0, 0), (1.0, 0), (1.0, -3)])
+def test_thermal_light_fock_rejects_bad_input(nbar, n_max):
+    with pytest.raises(ValueError, match="nbar must be finite|n_max must be >= 1"):
+        thermal_light_fock(nbar, n_max)
 
 
 def test_thermal_light_vacuum():
