@@ -10,6 +10,8 @@ T ln Z is built in `qubit_delta` (of `qubit_energy`, `qubit_entropy`, which
 holds the one Bloch-norm rule, and `qubit_log_z`) and `gaussian_delta_cells`
 (fed thermal light by `amplifier_delta_cells`); a scalar record runs the
 same code as its grid, so a grid cell and a record agree on the value.
+`check_temperature` is the one rule for a scalar temperature, kept by the
+qubit library and the Hermitian thermal functions alike.
 `su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
 coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
 one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
@@ -23,7 +25,8 @@ import sys
 
 import numpy as np
 
-from .errors import BlochNormExceeded, DivergentPartition, NumericalFailure
+from .errors import (BlochNormExceeded, DivergentPartition, DomainError,
+                     NumericalFailure, ZeroTemperature)
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
 # units of w1 w3: a few ulps, so that a marginal form whose g is rounding
@@ -53,6 +56,14 @@ def qubit_entropy(p_norm: float) -> float:
         if p_norm < 1.0:
             s -= 0.5 * (1.0 - p_norm) * math.log(1.0 - p_norm)
     return s
+
+
+def check_temperature(temperature: float) -> None:
+    """ZeroTemperature at T = 0 and DomainError for a non-finite T."""
+    if temperature == 0.0:
+        raise ZeroTemperature("T = 0 is not supported")
+    if not math.isfinite(temperature):
+        raise DomainError(f"T must be finite, got {temperature}")
 
 
 def qubit_log_z(h0, h_norm, t):

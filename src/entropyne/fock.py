@@ -10,15 +10,17 @@ levels up in steps of N_STEP = 16.  Their eigenvalues come from LAPACK
 dsterf, an O(N^2) tridiagonal solver, taken from the OpenBLAS that
 numpy.linalg itself links; where numpy links another LAPACK the blocks go
 to numpy.linalg.eigvalsh as dense matrices instead.
-The levels that carry e^{-beta lambda} above 1e-12 of Z are exact in such
-blocks: every form with beta * omega_eff >= 0.8 and |Re omega2| <= 0.6
-sqrt(omega1 omega3) settles at the first three sizes, so a trace of such a
-form costs the same whichever it is; hotter or more squeezed forms grow
-further.  boltzmann_diagonal reads <n|e^{-beta H}|n> off the eigenvectors
-of the same blocks in the number basis of frequency omega0.  The dense
-ladder-operator products of the same H stay in the tests, as the
-independent check of these bands.  The kernel convention is
-rho(x, y) = <x|rho|y> with
+Each trace sums e^{-beta lambda} over the whole truncated spectrum: the
+truncated H is P_N H P_N, whose eigenvalues bound H's own from above and
+fall as N grows (Cauchy interlacing), so the sums rise toward Z and
+truncation adds no spurious low level.  Every form with beta * omega_eff
+>= 0.8 and |Re omega2| <= 0.6 sqrt(omega1 omega3) settles at the first two
+sizes, so a trace of such a form costs the same whichever it is; hotter or
+more squeezed forms grow further.  boltzmann_diagonal reads
+<n|e^{-beta H}|n> off the eigenvectors of the same blocks in the number
+basis of frequency omega0.  The dense ladder-operator products of the same
+H stay in the tests, as the independent check of these bands.  The kernel
+convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -38,9 +40,9 @@ from .errors import NumericalFailure, QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
 
 # Truncation sizes of stable_partition: N_START, N_START + N_STEP, ...  Its
-# n_cap is at least N_CAP_MIN, the lower size of the second step (the first
-# step that can converge), and at most N_CAP_MAX, since each solve without
-# dsterf is a dense parity block.
+# n_cap, the largest size it solves, is at least N_CAP_MIN, the second size
+# (the first whose sum can be compared with an earlier one), and at most
+# N_CAP_MAX, since each solve without dsterf is a dense parity block.
 N_START = 112
 N_STEP = 16
 N_CAP_MIN = N_START + N_STEP
@@ -66,26 +68,32 @@ def number_basis_bands(h: QuadraticHamiltonian, w: float,
     so H couples |n> only to |n +- 2>, with |c| sqrt((n+1)(n+2)).  These are
     the entries of the untruncated H: a truncated product of ladder matrices
     (the tests' dense reference) differs in its last diagonal entry.
+    NumericalFailure if an entry leaves the double range, as it does when w
+    overflows or underflows to 0.
     """
     n = np.arange(n_max, dtype=float)
-    diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
-    c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
-    off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    with np.errstate(all="ignore"):
+        diag = (n + 0.5) * (h.omega1 * w + h.omega3 / w) + h.omega2.imag
+        c = complex((h.omega3 / w - h.omega1 * w) / 2.0, h.omega2.real)
+        off = abs(c) * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalFailure(
+            f"number-basis bands of {h} leave the double range by n_max = {n_max}"
+        )
     return diag, off
 
 
-def _parity_blocks(h: QuadraticHamiltonian, w: float, n_max: int) -> np.ndarray:
-    """H on the lowest n_max (even) levels of the number basis of frequency w,
-    as two stacked real symmetric blocks of n_max/2 rows.
+def _parity_blocks(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The bands of number_basis_bands on n_max (even) levels as two stacked
+    real symmetric blocks of n_max/2 rows.
 
-    By number_basis_bands the even-n and odd-n levels form two Hermitian
-    tridiagonal blocks, and a diagonal phase gauge makes their off-diagonals
-    |H_{n,n+2}|.  numpy.linalg.eigvalsh and eigh read only the lower
-    triangle, so only the diagonal and the subdiagonal are filled.  Block p
-    holds the levels of parity p.
+    The even-n and odd-n levels form two Hermitian tridiagonal blocks, and a
+    diagonal phase gauge makes their off-diagonals |H_{n,n+2}|.
+    numpy.linalg.eigvalsh and eigh read only the lower triangle, so only the
+    diagonal and the subdiagonal are filled.  Block p holds the levels of
+    parity p.
     """
-    diag, off = number_basis_bands(h, w, n_max)
-    m = n_max // 2
+    m = len(diag) // 2
     blocks = np.zeros((2, m * m))
     blocks[:, ::m + 1] = diag.reshape(m, 2).T
     blocks[:, m::m + 1] = off.reshape(m - 1, 2).T
@@ -127,15 +135,10 @@ def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     first re-tridiagonalizes each dense block in O(n_max^3).
     """
     w = np.sqrt(h.omega3 / h.omega1)
-    with np.errstate(all="ignore"):
-        diag, off = number_basis_bands(h, w, n_max)
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise NumericalFailure(
-            f"number-basis bands of {h} leave the double range by n_max = {n_max}"
-        )
+    diag, off = number_basis_bands(h, w, n_max)
     sterf = _lapack_dsterf()
     if sterf is None:
-        return np.sort(np.linalg.eigvalsh(_parity_blocks(h, w, n_max)), axis=None)
+        return np.sort(np.linalg.eigvalsh(_parity_blocks(diag, off)), axis=None)
     # Fresh contiguous copies: dsterf overwrites d and destroys e.
     d = np.concatenate((diag[0::2], diag[1::2]))
     e = np.concatenate((off[0::2], [0.0], off[1::2]))
@@ -164,21 +167,21 @@ def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
     _check_beta(beta)
     if n_max < 2 or n_max % 2:
         raise ValueError(f"n_max must be even and >= 2, got {n_max}")
-    w, v = np.linalg.eigh(_parity_blocks(h, h.omega0, n_max))
+    w, v = np.linalg.eigh(_parity_blocks(*number_basis_bands(h, h.omega0, n_max)))
     # Row p holds the diagonal at the levels of parity p: n = 2j + p.
     return np.einsum("pjk,pk->pj", v * v, np.exp(-beta * w)).T.reshape(n_max)
 
 
 def stable_partition(h: QuadraticHamiltonian, beta: float,
                      n_cap: int = 500) -> float:
-    """Truncated trace grown by N_STEP from N_START until it changes by < 1e-10.
+    """Truncated trace grown by N_STEP from N_START until it changes by <= 1e-11.
 
-    Each trace keeps only the eigenvalues that agree between two truncation
-    sizes: a truncated basis carries a handful of spurious edge levels that
-    drift with the basis size, while the genuine low-lying spectrum is
-    frozen.  Each size's spectrum is computed once and reused as the lower
-    size of the next step.  n_cap, the largest lower size of a step, lies
-    in [N_CAP_MIN, N_CAP_MAX]: convergence compares the sums of two steps,
+    Each trace sums e^{-beta lambda} over the whole spectrum of H on the
+    lowest N levels, from _matched_basis_spectrum.  That H is P_N H P_N, so
+    by Cauchy interlacing its levels fall as N grows and the sums rise
+    toward Z: truncation adds no spurious low level, and a sum that stops
+    changing has met Z.  Each size is solved once.  n_cap, the largest size
+    solved, lies in [N_CAP_MIN, N_CAP_MAX]: convergence compares two sizes,
     and without dsterf the blocks are dense, so memory grows as n_cap^2.
     beta must lie in (0, inf).
     """
@@ -189,32 +192,19 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
         raise ValueError(
             f"no matched number basis for {h}: omega1*omega3 must be positive"
         )
-    n = N_START
     z_prev = None
-    w_hi = _matched_basis_spectrum(h, n)
-    while n <= n_cap:
-        w_lo, w_hi = w_hi, _matched_basis_spectrum(h, n + N_STEP)
-        n += N_STEP
-        idx = np.searchsorted(w_hi, w_lo)
-        idx_lo = np.clip(idx - 1, 0, len(w_hi) - 1)
-        idx_hi = np.clip(idx, 0, len(w_hi) - 1)
-        nearest = np.minimum(np.abs(w_hi[idx_lo] - w_lo), np.abs(w_hi[idx_hi] - w_lo))
-        stable = w_lo[nearest <= 1e-8 * (1.0 + np.abs(w_lo))]
-        if len(stable) == 0:
-            continue
+    for n in range(N_START, n_cap + 1, N_STEP):
         with np.errstate(over="ignore"):
-            terms = np.exp(-beta * stable)
-        z = float(terms.sum())
-        if not np.isfinite(z):
+            z = float(np.exp(-beta * _matched_basis_spectrum(h, n)).sum())
+        if not math.isfinite(z):
             # A spectrum unbounded below (negative-definite form) overflows
             # here; an infinite sum must not pass the relative-change test.
             raise TruncationUnstable(
                 f"partition sum overflows by n_max = {n} (beta = {beta})"
             )
-        if terms[-1] <= 1e-12 * z:
-            if z_prev is not None and abs(z - z_prev) <= 1e-10 * abs(z):
-                return z
-            z_prev = z
+        if z_prev is not None and abs(z - z_prev) <= 1e-11 * z:
+            return z
+        z_prev = z
     raise TruncationUnstable(
         f"partition sum not stable by n_max = {n_cap} (beta = {beta})"
     )

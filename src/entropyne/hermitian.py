@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotHermitian, NumericalFailure, DomainError, ZeroTemperature
+from ._kernels import check_temperature
+from .errors import NotHermitian, NumericalFailure, DomainError
 
 HERMITICITY_TOL = 1e-12
 
@@ -74,12 +75,12 @@ def matrix_function(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
 def gibbs_state(h: np.ndarray, temperature: float) -> np.ndarray:
     """Thermal state e^{-H/T} / Tr(e^{-H/T}).
 
-    T may be negative (bounded spectra); T = 0 is rejected.  The spectrum is
-    shifted before exponentiation so the largest Boltzmann weight is 1,
-    which avoids overflow for large |H|/T.
+    T may be negative (bounded spectra); T = 0 and a non-finite T are
+    rejected (check_temperature).  The spectrum is shifted before
+    exponentiation so the largest Boltzmann weight is 1, which avoids
+    overflow for large |H|/T.
     """
-    if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
+    check_temperature(temperature)
     dec = eigendecompose(h)
     x = -dec.eigenvalues / temperature
     x = x - x.max()
@@ -91,9 +92,8 @@ def gibbs_state(h: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def log_trace_exp(h: np.ndarray, temperature: float) -> float:
-    """ln Tr(e^{-H/T}), stabilized by shifting the spectrum."""
-    if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
+    """ln Tr(e^{-H/T}), stabilized by shifting the spectrum; T as in gibbs_state."""
+    check_temperature(temperature)
     w = eigendecompose(h).eigenvalues
     x = -w / temperature
     m = x.max()

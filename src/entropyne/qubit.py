@@ -75,20 +75,12 @@ def hamiltonian_from_bloch(bh: BlochHamiltonian) -> np.ndarray:
     )
 
 
-def _check_temperature(temperature: float) -> None:
-    """ZeroTemperature at T = 0 and DomainError for a non-finite T."""
-    if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
-    if not math.isfinite(temperature):
-        raise DomainError(f"T must be finite, got {temperature}")
-
-
 def log_partition_qubit(bh: BlochHamiltonian, temperature: float) -> float:
     """ln Tr(e^{-H/T}) = -h0/(2T) + ln(2 cosh(|h|/(2T))) at a finite T != 0.
 
     NumericalFailure where h0/T or |h|/T overflows and ln Z is not a double.
     """
-    _check_temperature(temperature)
+    _kernels.check_temperature(temperature)
     log_z = float(_kernels.qubit_log_z(bh.h0, bh.norm, temperature))
     if not math.isfinite(log_z):
         raise NumericalFailure(f"ln Z = {log_z} at T = {temperature}: outside the double range")
@@ -108,7 +100,7 @@ def equilibrium_bloch(bh: BlochHamiltonian, temperature: float) -> BlochState:
     Antiparallel to h for T > 0, parallel for T < 0.  For |h| = 0 the
     thermal state is maximally mixed, p = 0.  T must be finite and nonzero.
     """
-    _check_temperature(temperature)
+    _kernels.check_temperature(temperature)
     h_norm = bh.norm
     if h_norm == 0.0:
         return BlochState(np.zeros(3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entropyne import (
+    DomainError,
     NotHermitian,
     NumericalFailure,
     ZeroTemperature,
@@ -124,6 +125,16 @@ def test_gibbs_trace_and_commutation():
 def test_gibbs_rejects_zero_temperature():
     with pytest.raises(ZeroTemperature):
         gibbs_state(np.eye(2, dtype=complex), 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_thermal_functions_reject_non_finite_temperature(t):
+    # The qubit library's temperature rule: a NaN T gave an all-NaN state.
+    h = random_hermitian(3, 1)
+    with pytest.raises(DomainError, match="^T must be finite"):
+        gibbs_state(h, t)
+    with pytest.raises(DomainError, match="^T must be finite"):
+        log_trace_exp(h, t)
 
 
 def test_log_trace_exp_two_level():
