@@ -10,8 +10,9 @@ T ln Z is built in `qubit_delta` (of `qubit_energy`, `qubit_entropy`, which
 holds the one Bloch-norm rule, and `qubit_log_z`) and `gaussian_delta_cells`
 (fed thermal light by `amplifier_delta_cells`); a scalar record runs the
 same code as its grid, so a grid cell and a record agree on the value.
-`check_temperature` is the one rule for a scalar temperature, kept by the
-qubit library and the Hermitian thermal functions alike.
+The scalar input rules live here, one each: `check_temperature` (a finite
+T != 0; the Gaussian forms add T > 0), `check_beta` (0 < beta < inf),
+`check_nbar` (a finite nbar >= 0) and `require_finite` (dataclass fields).
 `su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
 coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
 one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import (BlochNormExceeded, DivergentPartition, DomainError,
+from .errors import (BlochNormExceeded, DivergentPartition, DomainError, NegativeBeta,
                      NumericalFailure, ZeroTemperature)
 
 # A form is positive definite when g = w1 w3 - Re(w2)^2 exceeds this many
@@ -58,12 +60,33 @@ def qubit_entropy(p_norm: float) -> float:
     return s
 
 
-def check_temperature(temperature: float) -> None:
-    """ZeroTemperature at T = 0 and DomainError for a non-finite T."""
+def check_temperature(temperature: float, name: str = "T") -> None:
+    """ZeroTemperature at T = 0 and DomainError for NaN or +-inf; the messages say name."""
     if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
+        raise ZeroTemperature(f"{name} = 0 is not supported")
     if not math.isfinite(temperature):
-        raise DomainError(f"T must be finite, got {temperature}")
+        raise DomainError(f"{name} must be finite, got {temperature}")
+
+
+def check_beta(beta: float) -> None:
+    """ZeroTemperature at beta = inf (T = 0) and NegativeBeta at any other beta <= 0 or NaN."""
+    if not 0.0 < beta < math.inf:
+        raise (ZeroTemperature if beta == math.inf else NegativeBeta)(
+            f"beta must be positive and finite, got {beta}")
+
+
+def check_nbar(nbar: float) -> None:
+    """ValueError unless the mean photon number nbar is finite and >= 0."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+
+
+def require_finite(obj, exc: type[Exception]) -> None:
+    """Raise exc naming the first field of the dataclass obj with a NaN or inf entry."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if not np.isfinite(value).all():
+            raise exc(f"{field.name} must be finite, got {value}")
 
 
 def qubit_log_z(h0, h_norm, t):

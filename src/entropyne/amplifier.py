@@ -9,12 +9,14 @@ oscillator of frequency `effective_frequency(cfg)`.  The (T, nbar) surface
 has its per-nbar minimum where the amplifier's Gibbs entropy matches the
 probe's.  The surface and the minimizer (`_kernels.argmin_rounds`, the
 package's one) both evaluate `_kernels.amplifier_delta_cells` on w0, omega_eff.
+The input rules are `_kernels`': `require_finite`, `check_nbar` (the minimizer
+adds nbar > 0) and `check_temperature` (`nbar_from_temperature` adds T' > 0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +39,7 @@ class AmplifierConfig:
     omega_t: float = 1.0  # thermal-light mode frequency
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _kernels.require_finite(self, ValueError)
         if not self.omega0 > 0.0:
             raise ValueError("omega0 must be positive")
         if not self.omega_t > 0.0:
@@ -51,17 +53,7 @@ class ThermalLight:
     nbar: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.nbar >= 0.0:
-            raise ValueError("nbar must be >= 0")
-
-
-def _require_finite(obj) -> None:
-    """Raise ValueError naming the first dataclass field of obj that is not finite."""
-    for field in fields(obj):
-        value = getattr(obj, field.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+        _kernels.check_nbar(self.nbar)
 
 
 def amplifier_hamiltonian(cfg: AmplifierConfig) -> QuadraticHamiltonian:
@@ -108,11 +100,12 @@ def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState
 
 
 def nbar_from_temperature(t_prime: float, omega_t: float) -> float:
-    """Mean photon number 1/(e^{omega_t/T'} - 1) of light generated at T'."""
-    if t_prime <= 0.0:
+    """Mean photon number 1/(e^{omega_t/T'} - 1) of light generated at 0 < T' < inf."""
+    _kernels.check_temperature(t_prime, "T'")
+    if t_prime < 0.0:
         raise DomainError(f"T' must be positive, got {t_prime}")
-    if omega_t <= 0.0:
-        raise DomainError(f"omega_t must be positive, got {omega_t}")
+    if not 0.0 < omega_t < math.inf:
+        raise DomainError(f"omega_t must be positive and finite, got {omega_t}")
     x = omega_t / t_prime
     if x > 700.0:  # expm1 overflows; n_bar is e^{-x} to double precision
         return math.exp(-x)
@@ -169,9 +162,8 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:  # also false for NaN
         raise BracketError(f"invalid bracket {bracket}: need finite 0 < lo < hi")
-    if not math.isfinite(nbar):
-        raise ValueError(f"nbar must be finite, got {nbar}")
-    if nbar <= 0.0:
+    _kernels.check_nbar(nbar)
+    if nbar == 0.0:
         raise DomainError("nbar must be positive")
     form = (np.array([nbar]), cfg.omega0, effective_frequency(cfg))
     # Looked up per call, so a replaced kernel (tracing, tests) is the one run.

@@ -19,8 +19,9 @@ sizes, so a trace of such a form costs the same whichever it is; hotter or
 more squeezed forms grow further.  boltzmann_diagonal reads
 <n|e^{-beta H}|n> off the eigenvectors of the same blocks in the number
 basis of frequency omega0.  The dense ladder-operator products of the same
-H stay in the tests, as the independent check of these bands.  The kernel
-convention is rho(x, y) = <x|rho|y> with
+H stay in the tests, as the independent check of these bands.  beta and
+nbar pass the closed forms' own rules, `_kernels.check_beta` and `check_nbar`.
+The kernel convention is rho(x, y) = <x|rho|y> with
 
     <x|rho|y> = N exp(-a1* x^2 - a1 y^2 + a2 x y + b1* x + b1 y),
 
@@ -36,6 +37,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._kernels import check_beta, check_nbar
 from .errors import NumericalFailure, QuadratureUnstable, TruncationUnstable
 from .gaussian import GaussianParams, QuadraticHamiltonian, normalization
 
@@ -150,11 +152,6 @@ def _matched_basis_spectrum(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
     return d
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-
-
 def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
                        n_max: int) -> np.ndarray:
     """<n|e^{-beta H}|n> for n < n_max (even, >= 2) in the number basis of
@@ -164,7 +161,7 @@ def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
     of e^{-beta H} unchanged.  Levels near n_max carry the truncation error.
     beta must lie in (0, inf).
     """
-    _check_beta(beta)
+    check_beta(beta)
     if n_max < 2 or n_max % 2:
         raise ValueError(f"n_max must be even and >= 2, got {n_max}")
     w, v = np.linalg.eigh(_parity_blocks(*number_basis_bands(h, h.omega0, n_max)))
@@ -185,7 +182,7 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
     and without dsterf the blocks are dense, so memory grows as n_cap^2.
     beta must lie in (0, inf).
     """
-    _check_beta(beta)
+    check_beta(beta)
     if not N_CAP_MIN <= n_cap <= N_CAP_MAX:
         raise ValueError(f"n_cap must be in [{N_CAP_MIN}, {N_CAP_MAX}], got {n_cap}")
     if h.omega1 * h.omega3 <= 0.0:
@@ -212,8 +209,7 @@ def stable_partition(h: QuadraticHamiltonian, beta: float,
 
 def thermal_light_fock(nbar: float, n_max: int) -> np.ndarray:
     """Truncated geometric photon-number state diag(nbar^n / (1+nbar)^{n+1})."""
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    check_nbar(nbar)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     n = np.arange(n_max)

@@ -11,6 +11,8 @@ shifted by Im(omega2), when the form is positive definite; it does not depend
 on omega0.  `su11_coefficients` and `fock_diagonal_element` read the paper's
 su(1,1) decomposition from `_kernels.su11_pieces`, with the convention
 p = i sqrt(omega0/2)(adag - a), q = (a + adag)/sqrt(2 omega0).
+The input rules are `_kernels`': beta through `check_beta`, T through
+`check_temperature` (`gaussian_delta` adds T > 0), fields through `require_finite`.
 
 Note on first moments: the mean momentum closed form used here is
 (a2 Im(b1) - 2 Im(a1* b1)) / (2 Re(a1) - a2).  It was arbitrated against
@@ -21,7 +23,6 @@ sigma_pq = Im(a1)/(2 Re(a1) - a2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,6 @@ from .errors import (
     NegativeBeta,
     NumericalFailure,
     UnphysicalCovariance,
-    ZeroTemperature,
 )
 
 _MARGIN = 1e-12
@@ -50,8 +50,7 @@ class GaussianParams:
     b1: complex
 
     def __post_init__(self) -> None:
-        if not all(map(cmath.isfinite, (self.a1, self.a2, self.b1))):
-            raise InvalidGaussian("kernel parameters must be finite")
+        _kernels.require_finite(self, InvalidGaussian)
         if abs(float(np.imag(self.a2))) > 0.0:
             raise InvalidGaussian("a2 must be real")
         if self.a2 < 0.0:
@@ -74,9 +73,7 @@ class CovarianceState:
     mean_q: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.sigma_pp, self.sigma_qq, self.sigma_pq,
-                                       self.mean_p, self.mean_q))):
-            raise UnphysicalCovariance("covariance entries and means must be finite")
+        _kernels.require_finite(self, UnphysicalCovariance)
         if self.sigma_pp <= 0.0 or self.sigma_qq <= 0.0:
             raise UnphysicalCovariance("diagonal covariance entries must be positive")
         det = self.determinant
@@ -98,10 +95,9 @@ class QuadraticHamiltonian:
     omega3: float
 
     def __post_init__(self) -> None:
+        _kernels.require_finite(self, ValueError)
         if self.omega0 <= 0.0:
             raise ValueError("omega0 must be positive")
-        if not all(map(cmath.isfinite, (self.omega0, self.omega1, self.omega2, self.omega3))):
-            raise ValueError("Hamiltonian parameters must be finite")
 
     @property
     def gamma1(self) -> complex:
@@ -176,16 +172,6 @@ def mean_energy(c: CovarianceState, h: QuadraticHamiltonian) -> float:
     )
 
 
-def _convergent_frequency(h: QuadraticHamiltonian, beta: float) -> float:
-    """The effective frequency of h, once 0 < beta < inf is accepted; raises
-    DivergentPartition unless the form converges."""
-    if not beta > 0.0:
-        raise NegativeBeta(f"beta must be positive, got {beta}")
-    if beta == math.inf:
-        raise ZeroTemperature("beta must be finite: T = 0 is not supported")
-    return h.effective_frequency
-
-
 def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
     """Coefficients of e^{-beta H} = e^{-beta Im(w2)} e^{A+ K+} e^{ln(A0) K0} e^{A- K-}.
 
@@ -193,7 +179,8 @@ def su11_coefficients(h: QuadraticHamiltonian, beta: float) -> Su11Coefficients:
     `_kernels._PHI_CAP` (40) and keeps its value at the cap past it, so
     that xi stays finite.
     """
-    weff = _convergent_frequency(h, beta)
+    _kernels.check_beta(beta)
+    weff = h.effective_frequency
     phi, ln_sqrt_zeta, u, _, xi = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
     a_zero = math.exp(2.0 * ln_sqrt_zeta)
     a_plus = (-2.0 * h.gamma1.conjugate() / weff) * u
@@ -214,7 +201,8 @@ def log_partition_function(h: QuadraticHamiltonian, beta: float) -> float:
 
     NumericalFailure where beta w_eff under- or overflows and ln Z is not a double.
     """
-    weff = _convergent_frequency(h, beta)
+    _kernels.check_beta(beta)
+    weff = h.effective_frequency
     log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
     if not math.isfinite(log_z):
         raise NumericalFailure(f"ln Z = {log_z} at beta = {beta}: outside the double range")
@@ -238,7 +226,8 @@ def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    weff = _convergent_frequency(h, beta)
+    _kernels.check_beta(beta)
+    weff = h.effective_frequency
     _, ln_sqrt_zeta, _, zeta_xi, _ = map(float, _kernels.su11_pieces(beta, h.k0_coefficient, weff))
     sqrt_a0, t2 = math.exp(ln_sqrt_zeta), math.exp(2.0 * ln_sqrt_zeta) - zeta_xi
     r_prev, r = 0.0, 1.0  # R_{-1} (weight 0 in the first step) and R_0
@@ -254,14 +243,13 @@ def fock_diagonal_element(h: QuadraticHamiltonian, beta: float, n: int) -> float
 
 def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
                    temperature: float) -> DeltaRecord:
-    """Distance of a Gaussian state from the thermal state of (H, T), T > 0."""
-    if temperature == 0.0:
-        raise ZeroTemperature("T = 0 is not supported")
+    """Distance of a Gaussian state from the thermal state of (H, T), 0 < T < inf."""
+    _kernels.check_temperature(temperature)
     if temperature < 0.0:
         raise NegativeBeta("T < 0 diverges for Hamiltonians unbounded above")
     energy, entropy = mean_energy(c, h), entropy_gaussian(purity(c))
     beta = 1.0 / temperature
-    weff = _convergent_frequency(h, beta)
+    weff = h.effective_frequency
     # A ln Z past the double range makes Delta inf or NaN, which DeltaRecord rejects.
     log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
     cell = _kernels.gaussian_delta_cells([temperature], energy, entropy, log_z)[0, 0]

@@ -46,8 +46,7 @@ class BlochHamiltonian:
         object.__setattr__(self, "h", h)
         if h.shape != (3,):
             raise ValueError("h must be a 3-vector")
-        if not (np.isfinite(self.h0) and np.all(np.isfinite(h))):
-            raise ValueError("h0 and h must be finite")
+        _kernels.require_finite(self, ValueError)
 
     @property
     def norm(self) -> float:

@@ -71,8 +71,22 @@ def test_nbar_from_temperature():
                         rel_tol=1e-12)
     assert abs(nbar_from_temperature(10.0, 1.0) - 9.508) < 1e-3
     assert nbar_from_temperature(1e-3, 1.0) < 1e-10
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^T' must be positive, got -1.0$"):
         nbar_from_temperature(-1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_prime, omega_t, message", [
+    (math.nan, 1.0, "T' must be finite, got nan"),  # returned nan
+    (math.inf, 1.0, "T' must be finite, got inf"),  # ZeroDivisionError
+    (1.0, math.nan, "omega_t must be positive and finite, got nan"),  # returned nan
+    (1.0, math.inf, "omega_t must be positive and finite, got inf"),
+    (1.0, 0.0, "omega_t must be positive and finite, got 0.0"),
+])
+def test_nbar_from_temperature_names_the_bad_input(t_prime, omega_t, message):
+    with pytest.raises(DomainError) as info:
+        nbar_from_temperature(t_prime, omega_t)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3])

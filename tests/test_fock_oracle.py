@@ -10,9 +10,11 @@ import scipy.linalg
 from entropyne import fock
 from entropyne import (
     GaussianParams,
+    NegativeBeta,
     NumericalFailure,
     QuadraticHamiltonian,
     TruncationUnstable,
+    ZeroTemperature,
     kernel_moments,
     partition_function,
     stable_partition,
@@ -310,14 +312,17 @@ def test_stable_partition_rejects_cap_out_of_range(n_cap, monkeypatch):
         stable_partition(oscillator(1.0), 1.0, n_cap=n_cap)
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
-def test_oracle_rejects_beta_outside_open_half_line(beta, monkeypatch):
+@pytest.mark.parametrize("beta, error", [(math.nan, NegativeBeta), (math.inf, ZeroTemperature),
+                                         (0.0, NegativeBeta), (-1.0, NegativeBeta)])
+def test_oracle_rejects_beta_outside_open_half_line(beta, error, monkeypatch):
+    # The closed forms' beta rule: log_partition_function refuses the same betas.
     monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
     monkeypatch.setattr(fock, "_parity_blocks", None)  # no block may be built
-    with pytest.raises(ValueError, match="beta must be positive and finite"):
-        stable_partition(oscillator(1.0), beta)
-    with pytest.raises(ValueError, match="beta must be positive and finite"):
-        fock.boltzmann_diagonal(oscillator(1.0), beta, 4)
+    for call in (lambda: stable_partition(oscillator(1.0), beta),
+                 lambda: fock.boltzmann_diagonal(oscillator(1.0), beta, 4)):
+        with pytest.raises(error, match="^beta must be positive and finite, got ") as info:
+            call()
+        assert info.type is error
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

@@ -292,12 +292,15 @@ def test_gaussian_delta_zero_at_gibbs():
 
 
 def test_gaussian_delta_rejects_nonpositive_temperature():
-    with pytest.raises(ZeroTemperature):
+    with pytest.raises(ZeroTemperature, match="^T = 0 is not supported"):
         gaussian_delta(thermal_covariance(1.0), HARMONIC, 0.0)
-    with pytest.raises(NegativeBeta):
+    with pytest.raises(NegativeBeta, match="^T < 0 diverges"):
         gaussian_delta(thermal_covariance(1.0), HARMONIC, -1.0)
-    with pytest.raises(NegativeBeta):
-        gaussian_delta(thermal_covariance(1.0), HARMONIC, math.nan)
+    # A non-finite T is named as T, not as beta = 1/T (inf gave "beta ... got 0.0").
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^T must be finite, got {t}$") as info:
+            gaussian_delta(thermal_covariance(1.0), HARMONIC, t)
+        assert info.type is DomainError
 
 
 @pytest.mark.parametrize("seed", range(12))

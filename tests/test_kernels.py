@@ -1,18 +1,23 @@
-"""Grid kernels against the scalar library, cell by cell, and the one divergence rule."""
+"""Grid kernels against the scalar library, cell by cell, the one divergence rule
+and the one rule for each scalar input (T, beta, nbar, finite fields)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from entropyne import _kernels
+from entropyne import _kernels, fock, hermitian
 from entropyne import gaussian
 from entropyne.amplifier import (AmplifierConfig, ThermalLight, amplifier_hamiltonian,
+                                 delta_argmin_temperature, nbar_from_temperature,
                                  thermal_light_covariance)
-from entropyne.errors import DivergentPartition
-from entropyne.gaussian import (QuadraticHamiltonian, gaussian_delta, log_partition_function,
+from entropyne.errors import (DivergentPartition, DomainError, InvalidGaussian, NegativeBeta,
+                              UnphysicalCovariance, ZeroTemperature)
+from entropyne.gaussian import (CovarianceState, GaussianParams, QuadraticHamiltonian,
+                                gaussian_delta, log_partition_function,
                                 random_quadratic_hamiltonian)
-from entropyne.qubit import BlochHamiltonian, qubit_delta_record
+from entropyne.qubit import (BlochHamiltonian, equilibrium_bloch, log_partition_qubit,
+                             qubit_delta_record)
 
 THETAS = np.linspace(0.0, math.pi, 17)
 TEMPS = np.linspace(0.5, 8.0, 11)
@@ -351,3 +356,99 @@ def test_argmin_rounds_tiny_rel_tol_stops_at_adjacent_floats(case):
     assert len(np.unique(rounds[-1])) <= 2
     assert np.ptp(rounds[-1]) <= np.spacing(abs(t))
     assert abs(t - expected) <= tol
+
+
+HAM = BlochHamiltonian(h0=0.4, h=np.array([0.0, 0.0, 3.0]))
+OSC = QuadraticHamiltonian(omega0=1.0, omega1=0.5, omega2=0j, omega3=0.5)
+# Every scalar entry point that takes T (or T', named so) ...
+TEMPERATURE_ENTRIES = {
+    "log_partition_qubit": ("T", lambda t: log_partition_qubit(HAM, t)),
+    "equilibrium_bloch": ("T", lambda t: equilibrium_bloch(HAM, t)),
+    "qubit_delta_record": ("T", lambda t: qubit_delta_record(0.5, 1.0, HAM, t)),
+    "gibbs_state": ("T", lambda t: hermitian.gibbs_state(np.diag([0.0, 1.0]), t)),
+    "log_trace_exp": ("T", lambda t: hermitian.log_trace_exp(np.diag([0.0, 1.0]), t)),
+    "gaussian_delta": ("T", lambda t: gaussian_delta(
+        thermal_light_covariance(ThermalLight(1.0), 1.0), OSC, t)),
+    "nbar_from_temperature": ("T'", lambda t: nbar_from_temperature(t, 1.0)),
+}
+# ... and every one that takes beta = 1/T.
+BETA_ENTRIES = {
+    "log_partition_function": lambda b: log_partition_function(OSC, b),
+    "partition_function": lambda b: gaussian.partition_function(OSC, b),
+    "su11_coefficients": lambda b: gaussian.su11_coefficients(OSC, b),
+    "fock_diagonal_element": lambda b: gaussian.fock_diagonal_element(OSC, b, 3),
+    "stable_partition": lambda b: fock.stable_partition(OSC, b),
+    "boltzmann_diagonal": lambda b: fock.boltzmann_diagonal(OSC, b, 4),
+}
+OFF_DOMAIN = [0.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", OFF_DOMAIN)
+@pytest.mark.parametrize("entry", list(TEMPERATURE_ENTRIES) + list(BETA_ENTRIES))
+def test_every_scalar_entry_keeps_the_shared_rule(entry, value):
+    if entry in TEMPERATURE_ENTRIES:  # _kernels.check_temperature
+        name, call = TEMPERATURE_ENTRIES[entry]
+        error, message = ((ZeroTemperature, f"{name} = 0 is not supported") if value == 0.0
+                          else (DomainError, f"{name} must be finite, got {value}"))
+    else:  # _kernels.check_beta: beta = inf is T = 0
+        call = BETA_ENTRIES[entry]
+        error = ZeroTemperature if value == math.inf else NegativeBeta
+        message = f"beta must be positive and finite, got {value}"
+    with pytest.raises(error) as info:
+        call(value)
+    assert info.type is error and str(info.value) == message
+
+
+NBAR_ENTRIES = {
+    "ThermalLight": lambda nb: ThermalLight(nb),
+    "delta_argmin_temperature": lambda nb: delta_argmin_temperature(
+        AmplifierConfig(), nb, (0.1, 10.0)),
+    "thermal_light_fock": lambda nb: fock.thermal_light_fock(nb, 4),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nbar", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", NBAR_ENTRIES)
+def test_every_nbar_entry_keeps_the_shared_rule(entry, nbar):
+    with pytest.raises(ValueError) as info:
+        NBAR_ENTRIES[entry](nbar)
+    assert info.type is ValueError
+    assert str(info.value) == f"nbar must be finite and >= 0, got {nbar}"
+
+
+def test_argmin_adds_positive_nbar():
+    with pytest.raises(DomainError, match="^nbar must be positive$"):
+        delta_argmin_temperature(AmplifierConfig(), 0.0, (0.1, 10.0))
+
+
+# Each parameter dataclass: its fields, valid values, and its own exception class.
+DATACLASSES = [
+    (GaussianParams, dict(a1=1.0 + 0.2j, a2=0.5, b1=0.1 - 0.3j), InvalidGaussian),
+    (CovarianceState, dict(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=0.1, mean_p=0.2, mean_q=-0.3),
+     UnphysicalCovariance),
+    (QuadraticHamiltonian, dict(omega0=1.0, omega1=0.5, omega2=0.1 + 0.2j, omega3=0.5),
+     ValueError),
+    (BlochHamiltonian, dict(h0=0.4, h=np.array([0.0, 1.0, 2.0])), ValueError),
+    (AmplifierConfig, dict(omega0=1.0, omega=3.0, k=0.1, t=0.3, omega_t=1.0), ValueError),
+]
+FIELD_CASES = [(cls, kwargs, error, name, bad)
+               for cls, kwargs, error in DATACLASSES for name in kwargs
+               for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls, kwargs, error, name, bad", FIELD_CASES,
+                         ids=[f"{c[0].__name__}-{c[3]}-{c[4]}" for c in FIELD_CASES])
+def test_every_field_is_finite_by_one_rule(cls, kwargs, error, name, bad):
+    cls(**kwargs)  # the valid instance is accepted
+    value = kwargs[name]
+    if isinstance(value, complex):
+        bad = complex(value.real, bad)  # a non-finite imaginary part alone
+    elif isinstance(value, np.ndarray):
+        bad = np.array([0.0, bad, 2.0])
+    with pytest.raises(error) as info:
+        cls(**{**kwargs, name: bad})
+    assert info.type is error
+    assert str(info.value) == f"{name} must be finite, got {bad}"
