@@ -16,12 +16,13 @@ adds nbar > 0) and `check_temperature` (`nbar_from_temperature` adds T' > 0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import BracketError, DivergentPartition, DomainError
+from .errors import BracketError, DivergentPartition, DomainError, NumericalFailure
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
 
@@ -100,7 +101,10 @@ def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState
 
 
 def nbar_from_temperature(t_prime: float, omega_t: float) -> float:
-    """Mean photon number 1/(e^{omega_t/T'} - 1) of light generated at 0 < T' < inf."""
+    """Mean photon number 1/(e^{omega_t/T'} - 1) of light generated at 0 < T' < inf.
+
+    NumericalFailure where nbar, about T'/omega_t, is past the double range.
+    """
     _kernels.check_temperature(t_prime, "T'")
     if t_prime < 0.0:
         raise DomainError(f"T' must be positive, got {t_prime}")
@@ -109,6 +113,9 @@ def nbar_from_temperature(t_prime: float, omega_t: float) -> float:
     x = omega_t / t_prime
     if x > 700.0:  # expm1 overflows; n_bar is e^{-x} to double precision
         return math.exp(-x)
+    if x * sys.float_info.max < 1.0:  # 1/expm1(x) = 1/x overflows, or x underflowed to 0
+        raise NumericalFailure(f"nbar at T' = {t_prime}, omega_t = {omega_t} "
+                               "is past the double range")
     return 1.0 / math.expm1(x)
 
 

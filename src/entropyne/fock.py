@@ -159,14 +159,20 @@ def boltzmann_diagonal(h: QuadraticHamiltonian, beta: float,
 
     The phase gauge of _parity_blocks is diagonal, so it leaves the diagonal
     of e^{-beta H} unchanged.  Levels near n_max carry the truncation error.
-    beta must lie in (0, inf).
+    beta must lie in (0, inf); NumericalFailure where an element is past the
+    double range, as e^{-beta lambda} is for a spectrum reaching far below 0.
     """
     check_beta(beta)
     if n_max < 2 or n_max % 2:
         raise ValueError(f"n_max must be even and >= 2, got {n_max}")
     w, v = np.linalg.eigh(_parity_blocks(*number_basis_bands(h, h.omega0, n_max)))
-    # Row p holds the diagonal at the levels of parity p: n = 2j + p.
-    return np.einsum("pjk,pk->pj", v * v, np.exp(-beta * w)).T.reshape(n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row p holds the diagonal at the levels of parity p: n = 2j + p.
+        diag = np.einsum("pjk,pk->pj", v * v, np.exp(-beta * w)).T.reshape(n_max)
+    if not np.isfinite(diag).all():
+        raise NumericalFailure(
+            f"<n|e^(-beta H)|n> leaves the double range by n_max = {n_max} (beta = {beta})")
+    return diag
 
 
 def stable_partition(h: QuadraticHamiltonian, beta: float,

@@ -89,6 +89,22 @@ def test_nbar_from_temperature_names_the_bad_input(t_prime, omega_t, message):
     assert str(info.value) == message
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega_t", [1e-15, 1e-16, 1e-300])
+def test_nbar_past_the_double_range_is_numerical_failure(omega_t):
+    # nbar ~ T'/omega_t: 1e-15 returned inf, 1e-16 (omega_t/T' underflows to 0)
+    # raised ZeroDivisionError.
+    with pytest.raises(NumericalFailure, match="past the double range"):
+        nbar_from_temperature(1e308, omega_t)
+
+
+def test_nbar_at_the_edge_of_the_double_range():
+    # The largest nbars still a double: 1/x for the smallest x that the rule accepts.
+    assert nbar_from_temperature(1e308, 1.0) == pytest.approx(1e308, rel=1e-12)
+    x = 1.0 / np.finfo(float).max
+    assert math.isfinite(nbar_from_temperature(1.0, np.nextafter(x, 1.0)))
+
+
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("nbar", [0.5, 2.0])
 def test_energy_cancellation_at_t0(k, nbar):

@@ -353,6 +353,15 @@ def test_boltzmann_diagonal_refuses_bands_outside_double_range():
         fock.boltzmann_diagonal(h, 1.0, 20)
 
 
+@pytest.mark.filterwarnings("error")
+def test_boltzmann_diagonal_refuses_elements_outside_double_range():
+    # Finite bands, but the spectrum of a negative-definite form reaches far below
+    # 0: e^{-beta lambda} overflowed with a numpy warning and the diagonal read NaN.
+    h = QuadraticHamiltonian(omega0=1.0, omega1=-0.5, omega2=0j, omega3=-0.5)
+    with pytest.raises(NumericalFailure, match="leaves the double range by n_max = 300"):
+        fock.boltzmann_diagonal(h, 10.0, 300)
+
+
 @pytest.mark.parametrize("omega1, omega3", [(0.5, -0.5), (-0.5, 0.5), (0.0, 0.5)])
 def test_stable_partition_rejects_form_without_matched_basis(omega1, omega3):
     h = QuadraticHamiltonian(omega0=1.0, omega1=omega1, omega2=0j, omega3=omega3)
