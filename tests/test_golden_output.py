@@ -168,7 +168,7 @@ def test_process_stdout_bytes(name):
 
 
 # `verify --quick` at its default seed, run on one BLAS thread.
-VERIFY_QUICK_SHA256 = "d7ce3a8c3c8eae837ee6e8893d64250a5320645ad42491e31884ad8e06e307a5"
+VERIFY_QUICK_SHA256 = "82a41df313a129573a3e2a4e908c799a193c90518b75dfe71ed967d5f249e8fb"
 
 
 def test_verify_quick_stdout_bytes():

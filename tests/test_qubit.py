@@ -26,6 +26,7 @@ from entropyne import (
     qubit_observables,
     von_neumann_entropy,
 )
+from entropyne import verify
 from entropyne.verify import refine_zero_temperature
 
 H_NORM = math.sqrt(14.0)
@@ -273,3 +274,14 @@ def test_refine_zero_temperature_finds_equilibrium_temperature(p_norm, h_norm, s
     lo, hi = sorted((0.6 * t_eq, 1.7 * t_eq))
     t_zero = refine_zero_temperature(p_norm, ham, theta, lo, hi)
     assert abs(t_zero - t_eq) <= ZERO_LOCUS_RTOL * abs(t_eq)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-5, 1.0 - 1e-5, 1.0 + 3e-7, 1.0 - 3e-7])
+def test_zero_locus_family_catches_a_scaled_minimizer(scale, monkeypatch):
+    # The family holds T* to a few times the minimizer's resolution of the
+    # exact locus; with read-off figures it passed T* scaled by 1 + 3e-4.
+    assert verify.check_qubit_zero_locus(2024, False).passed
+    refine = verify.refine_zero_temperature
+    monkeypatch.setattr(verify, "refine_zero_temperature",
+                        lambda *args: scale * refine(*args))
+    assert not verify.check_qubit_zero_locus(2024, False).passed
