@@ -312,10 +312,10 @@ def test_stable_partition_rejects_cap_out_of_range(n_cap, monkeypatch):
         stable_partition(oscillator(1.0), 1.0, n_cap=n_cap)
 
 
-@pytest.mark.parametrize("beta, error", [(math.nan, NegativeBeta), (math.inf, ZeroTemperature),
-                                         (0.0, NegativeBeta), (-1.0, NegativeBeta)])
-def test_oracle_rejects_beta_outside_open_half_line(beta, error, monkeypatch):
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_oracle_rejects_beta_outside_open_half_line(beta, monkeypatch):
     # The closed forms' beta rule: log_partition_function refuses the same betas.
+    error = ZeroTemperature if beta == math.inf else NegativeBeta
     monkeypatch.setattr(fock, "_matched_basis_spectrum", None)  # no solve may run
     monkeypatch.setattr(fock, "_parity_blocks", None)  # no block may be built
     for call in (lambda: stable_partition(oscillator(1.0), beta),
