@@ -185,19 +185,24 @@ def check_qubit_zero_locus(seed: int, quick: bool) -> FamilyResult:
 
 
 def check_gaussian_moments(seed: int, quick: bool) -> FamilyResult:
+    """Quadrature norm, means and covariance against the closed forms, to 1e-12 absolute.
+
+    The one-pass trapezoid rule of `fock.kernel_moments` errs only by
+    rounding: on 330 seeded kernels its worst absolute error over the norm
+    and the five moments is 3.3e-14.  One absolute bound of 1e-12, 30 times
+    that, holds all six, so a closed form off by 1e-12 relative on a moment
+    of order one fails.
+    """
     n = 20 if quick else 100
     worst = 0.0
     for i in range(n):
         g = gaussian.random_gaussian_params(seed + i)
         cov = gaussian.covariance_from_params(g)
         mom = fock.kernel_moments(g)
-        worst = max(worst, abs(mom.norm - 1.0) / 1e-9)
-        worst = max(worst, abs(mom.mean_q - cov.mean_q) / 1e-8)
-        worst = max(worst, abs(mom.sigma_qq - cov.sigma_qq) / 1e-8)
-        worst = max(worst, abs(mom.mean_p - cov.mean_p) / 1e-7)
-        worst = max(worst, abs(mom.sigma_pp - cov.sigma_pp) / 1e-7)
-        worst = max(worst, abs(mom.sigma_pq - cov.sigma_pq) / 1e-7)
-    return _result("gaussian-kernel-moments", worst, 1.0, f"samples={n}")
+        worst = max(worst, abs(mom.norm - 1.0), abs(mom.mean_q - cov.mean_q),
+                    abs(mom.mean_p - cov.mean_p), abs(mom.sigma_qq - cov.sigma_qq),
+                    abs(mom.sigma_pp - cov.sigma_pp), abs(mom.sigma_pq - cov.sigma_pq))
+    return _result("gaussian-kernel-moments", worst, 1e-12, f"samples={n}")
 
 
 def check_partition_oracle(seed: int, quick: bool) -> FamilyResult:

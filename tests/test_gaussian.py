@@ -1,5 +1,6 @@
 """Gaussian kernels, covariances, the closed-form partition function and entropy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from entropyne import (
     purity,
     su11_coefficients,
 )
+from entropyne import gaussian, verify
 from entropyne.gaussian import random_gaussian_params
 
 HARMONIC = QuadraticHamiltonian(omega0=1.0, omega1=0.5, omega2=0j, omega3=0.5)
@@ -329,3 +331,19 @@ def test_mean_p_arbitration_is_definitive(seed):
     if abs(c.mean_p) > 1e-3:
         assert abs(m.mean_p - c.mean_p) < 0.01 * abs(c.mean_p)
         assert abs(m.mean_p - 0.5 * c.mean_p) > 0.4 * abs(c.mean_p)
+
+
+@pytest.mark.parametrize("field", ["mean_q", "mean_p", "sigma_qq", "sigma_pp", "sigma_pq"])
+def test_moments_family_catches_a_scaled_closed_form(field, monkeypatch):
+    # The family holds each moment to 1e-12 absolute, 30 times the one-pass
+    # quadrature's worst error; with per-quantity bounds of 1e-9 to 1e-7 it
+    # passed sigma_pq scaled by 1 + 1e-8.
+    assert verify.check_gaussian_moments(2024, False).passed
+    closed = gaussian.covariance_from_params
+
+    def scaled(g):
+        cov = closed(g)
+        return dataclasses.replace(cov, **{field: (1.0 + 1e-12) * getattr(cov, field)})
+
+    monkeypatch.setattr(gaussian, "covariance_from_params", scaled)
+    assert not verify.check_gaussian_moments(2024, False).passed

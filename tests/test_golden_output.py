@@ -168,7 +168,7 @@ def test_process_stdout_bytes(name):
 
 
 # `verify --quick` at its default seed, run on one BLAS thread.
-VERIFY_QUICK_SHA256 = "82a41df313a129573a3e2a4e908c799a193c90518b75dfe71ed967d5f249e8fb"
+VERIFY_QUICK_SHA256 = "7e0c354c2bcc332734a28f3c8649c811fca067655e5c262da82137092f4b31b2"
 
 
 def test_verify_quick_stdout_bytes():
