@@ -118,6 +118,39 @@ def test_su11_operator_form():
     assert np.abs(hm[:interior, :interior] - alg[:interior, :interior]).max() <= 1e-10
 
 
+def disentangled_elements(h, beta, n_max):
+    """<m|e^{-beta Im w2} e^{A+ K+} A0^{K0} e^{A- K-}|n> for m, n <= n_max, summed
+    term by term: k runs over min(m, n), k = m = n (mod 2)."""
+    c = su11_coefficients(h, beta)
+    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for m in range(n_max + 1):
+        for n in range(m % 2, n_max + 1, 2):
+            for k in range(m % 2, min(m, n) + 1, 2):
+                i, j = (m - k) // 2, (n - k) // 2
+                out[m, n] += ((c.A_plus / 2.0) ** i / math.factorial(i)
+                              * (c.A_minus / 2.0) ** j / math.factorial(j)
+                              * math.sqrt(math.factorial(m) * math.factorial(n))
+                              / math.factorial(k) * c.A_zero ** ((2 * k + 1) / 4))
+    return math.exp(-beta * h.omega2.imag) * out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_su11_coefficients_element_by_element(seed):
+    # The diagonal reads A+ and A- only through their product; the elements
+    # off it tell them apart (swapping them conjugates the elements of a form
+    # with Re w2 != 0) and fix their sign ((m - n)/2 odd).  The dense e^{-beta H}
+    # at N = 300 has settled to rounding on m, n <= 20 already at N = 100, and
+    # agrees with the sum to 2.2e-14 of its largest element on these forms;
+    # either mutation is off by more than 1e-3.
+    h = random_quadratic_hamiltonian(seed)
+    assert h.omega2.real != 0.0
+    w, v = np.linalg.eigh(quadratic_hamiltonian_matrix(h, FockTruncation(300, h.omega0)))
+    for beta in (0.5, 1.0, 2.0):
+        dense = ((v * np.exp(-beta * w)) @ v.conj().T)[:21, :21]
+        got = disentangled_elements(h, beta, 20)
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 def test_truncated_partition_harmonic():
     hm = quadratic_hamiltonian_matrix(oscillator(1.0), FockTruncation(200, 1.0))
     z, last = truncated_partition(hm, 1.0)
