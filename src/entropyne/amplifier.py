@@ -90,8 +90,8 @@ def effective_frequency(cfg: AmplifierConfig) -> float:
 
 def thermal_light_covariance(tl: ThermalLight, omega0: float) -> CovarianceState:
     """sigma = ((1+2 nbar)/2) diag(w0, 1/w0) with zero means."""
-    if omega0 <= 0.0:
-        raise ValueError("omega0 must be positive")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     scale = (1.0 + 2.0 * tl.nbar) / 2.0
     return CovarianceState(
         sigma_pp=scale * omega0,

@@ -111,8 +111,8 @@ def equilibrium_temperature(p_norm: float, h_norm: float, sign: int = 1) -> floa
     """|h| / (2 arctanh |p|), signed; the temperature where the distance vanishes."""
     if not 0.0 < p_norm < 1.0:
         raise DomainError(f"p_norm must lie in (0, 1), got {p_norm}")
-    if not h_norm > 0.0:
-        raise DomainError(f"h_norm must be positive, got {h_norm}")
+    if not 0.0 < h_norm < math.inf:
+        raise DomainError(f"h_norm must be positive and finite, got {h_norm}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return sign * h_norm / (2.0 * math.atanh(p_norm))

@@ -66,6 +66,12 @@ def test_thermal_light_covariance_values():
                         rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
+def test_thermal_light_covariance_rejects_omega0(omega0):
+    with pytest.raises(ValueError, match=f"^omega0 must be positive and finite, got {omega0}$"):
+        thermal_light_covariance(ThermalLight(1.0), omega0)
+
+
 def test_nbar_from_temperature():
     assert math.isclose(nbar_from_temperature(1.0 / math.log(2.0), 1.0), 1.0,
                         rel_tol=1e-12)

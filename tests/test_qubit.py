@@ -159,7 +159,7 @@ def test_equilibrium_temperature_domain(p_norm):
         equilibrium_temperature(p_norm, H_NORM)
 
 
-@pytest.mark.parametrize("h_norm", [0.0, math.nan])
+@pytest.mark.parametrize("h_norm", [0.0, math.nan, math.inf])
 def test_equilibrium_temperature_rejects_h_norm(h_norm):
     with pytest.raises(DomainError, match="h_norm"):
         equilibrium_temperature(0.5, h_norm)
