@@ -21,7 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -64,7 +64,7 @@ _FLOAT_FORMAT = ".17g"
 # Cells formatted and written per block of rows (at least one row a block).
 # A block's text is about a megabyte whatever the grid size, so peak memory
 # stays flat, and the per-block overhead is negligible.
-_BLOCK_CELLS = 1 << 13
+_BLOCK_CELLS = 2048
 _JSON_SEP = ",\n    "  # between the items of an array under a top-level key
 # The name of the marker column (CSV) and the JSON "marker_name" of a grid with markers.
 MARKER_NAME = "argmin"
@@ -98,18 +98,6 @@ class DeltaGrid:
         if not np.isfinite(self.cells).all():
             raise NumericalFailure("Delta overflows a double on this grid")
 
-    def _row_blocks(self) -> list[tuple[int, int]]:
-        """(lo, hi) row ranges of about _BLOCK_CELLS cells each."""
-        n_rows, n_cols = self.cells.shape
-        if n_cols == 0:
-            return []
-        step = max(1, _BLOCK_CELLS // n_cols)
-        return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-    def _marker_text(self, lo: int, hi: int) -> str:
-        """Markers of rows lo:hi as one `0, 1, 0` string, from one str() call."""
-        return str(self.markers[lo:hi].astype(int).ravel().tolist())[1:-1]
-
     def write_csv(self, out: TextIO) -> None:
         """Write the grid as CSV to `out`, a block of rows at a time.
 
@@ -123,7 +111,7 @@ class DeltaGrid:
         tail = ",%d\n" if marked else "\n"  # what follows a cell to the line end
         # "\0" stands for a row's axis-1 text: no formatted float holds it or "%".
         row = "".join(f"\0,{fmt(b)},%{_FLOAT_FORMAT}{tail}" for b in self.axis2_values.tolist())
-        for lo, hi in self._row_blocks():
+        for lo, hi in _row_blocks(*self.cells.shape):
             cells = self.cells[lo:hi].ravel()
             if marked:  # cells and markers interleaved
                 markers = self.markers[lo:hi].ravel()
@@ -142,21 +130,19 @@ class DeltaGrid:
         in row-major order, the metadata and,
         when there are markers, `marker_name` and the markers.
         """
-        blocks = self._row_blocks()
         fields = {
             "axis1_name": [json.dumps(self.axis1_name)],
-            "axis1_values": _json_array([_json_floats(self.axis1_values)]),
+            "axis1_values": _json_array(self.axis1_values[:, None], _json_floats),
             "axis2_name": [json.dumps(self.axis2_name)],
-            "axis2_values": _json_array([_json_floats(self.axis2_values)]),
-            "cells": _json_array(_json_floats(self.cells[lo:hi].ravel()) for lo, hi in blocks),
+            "axis2_values": _json_array(self.axis2_values[:, None], _json_floats),
+            "cells": _json_array(self.cells, _json_floats),
             # A nested value: its lines sit one level (two spaces) deeper.
             "metadata": [json.dumps(self.metadata, sort_keys=True, indent=2)
                          .replace("\n", "\n  ")],
         }
         if self.markers is not None:
             fields["marker_name"] = [json.dumps(MARKER_NAME)]
-            fields["markers"] = _json_array(self._marker_text(lo, hi).replace(", ", _JSON_SEP)
-                                            for lo, hi in blocks)
+            fields["markers"] = _json_array(self.markers, _json_ints)
         sep = "{\n"
         for key in sorted(fields):
             out.write(f'{sep}  "{key}": ')
@@ -178,19 +164,32 @@ class DeltaGrid:
         return buf.getvalue()
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) row ranges of about _BLOCK_CELLS cells each (at least one row), one at a time."""
+    if n_cols == 0:
+        return
+    step = max(1, _BLOCK_CELLS // n_cols)
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
+
+
 def _json_floats(values: np.ndarray) -> str:
     """JSON text of a finite 1-D array's items, as `json` writes them, joined by _JSON_SEP."""
     return _JSON_SEP.join(map(float.__repr__, values.tolist()))
 
 
-def _json_array(blocks: Iterable[str]) -> Iterator[str]:
-    """Text chunks of a JSON array, indented as a value of a top-level key,
-    from blocks of encoded items already joined by _JSON_SEP ('' for none)."""
+def _json_ints(values: np.ndarray) -> str:
+    """JSON text of a 1-D integer or bool array's items as ints, joined by _JSON_SEP."""
+    return str(values.astype(int).tolist())[1:-1].replace(", ", _JSON_SEP)
+
+
+def _json_array(array: np.ndarray, encode: Callable[[np.ndarray], str]) -> Iterator[str]:
+    """Text chunks of a JSON array of a 2-D array's items in row-major order,
+    indented as a value of a top-level key, encoded a block of rows at a time."""
     empty = True
-    for items in blocks:
-        if items:
-            yield ("[\n    " if empty else _JSON_SEP) + items
-            empty = False
+    for lo, hi in _row_blocks(*array.shape):
+        yield ("[\n    " if empty else _JSON_SEP) + encode(array[lo:hi].ravel())
+        empty = False
     yield "[]" if empty else "\n  ]"
 
 

@@ -13,6 +13,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ def test_block_size_does_not_change_bytes(name, block_cells, tmp_path, monkeypat
 
 def test_many_rows_grid_ends_on_a_partial_block():
     grid = DeltaGrid("a", "b", np.zeros(2001), np.zeros(11), np.zeros((2001, 11)))
-    blocks = grid._row_blocks()
+    blocks = list(grids._row_blocks(*grid.cells.shape))
     assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == 2001
     assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(blocks, blocks[1:]))
     assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
@@ -285,7 +286,8 @@ def per_cell_csv(grid):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("block_cells", [1, 13, 50, grids._BLOCK_CELLS])
+# 8192 holds each of these grids in one block, as the default block size does.
+@pytest.mark.parametrize("block_cells", [1, 13, 50, 8192])
 @pytest.mark.parametrize("marked", [False, True])
 @pytest.mark.parametrize("shape", [(7, 5), (1, 1), (3, 40), (60, 2), (0, 3), (2, 0)])
 def test_block_template_matches_per_cell_csv(shape, marked, block_cells, monkeypatch):
@@ -295,7 +297,7 @@ def test_block_template_matches_per_cell_csv(shape, marked, block_cells, monkeyp
         assert grid.to_csv_text() == per_cell_csv(grid)
 
 
-@pytest.mark.parametrize("block_cells", [13, grids._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [13, 8192])
 def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
     # The amplifier surface holds int8 markers; int64 and bool markers of the
     # same 0/1 values must write the same CSV and JSON.
@@ -306,6 +308,27 @@ def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
                  for g in (dataclasses.replace(grid, markers=flags.astype(dtype))
                            for dtype in (np.int8, np.int64, bool))}
         assert len(texts) == 1
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("write", ["write_csv", "write_json"])
+def test_writers_working_set_is_one_block(write, marked):
+    # A writer holds one block's text, lists and tuples at a time: marked CSV,
+    # the largest, peaked at 375 KiB (~190 B a cell) with 2048-cell blocks.
+    # Anything kept per row or per block, or the whole text, would grow tenfold
+    # from 400 to 4000 rows.  The grids are built before tracing starts.
+    peaks = []
+    for rows in (400, 4000):
+        grid = seeded_grid(4, (rows, 50), marked)
+        with open(os.devnull, "w") as out:
+            tracemalloc.start()
+            try:
+                getattr(grid, write)(out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 256 * grids._BLOCK_CELLS
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
