@@ -314,9 +314,9 @@ def test_marker_dtype_does_not_change_bytes(block_cells, monkeypatch):
 @pytest.mark.parametrize("write", ["write_csv", "write_json"])
 def test_writers_working_set_is_one_block(write, marked):
     # A writer holds one block's text, lists and tuples at a time: marked CSV,
-    # the largest, peaked at 375 KiB (~190 B a cell) with 2048-cell blocks.
-    # Anything kept per row or per block, or the whole text, would grow tenfold
-    # from 400 to 4000 rows.  The grids are built before tracing starts.
+    # the largest, peaked at 357-375 KiB (~180 B a cell) with 2048-cell blocks.
+    # Text kept per row (an axis written whole) or the whole text would grow
+    # the peak from 400 to 4000 rows.  The grids are built before tracing starts.
     peaks = []
     for rows in (400, 4000):
         grid = seeded_grid(4, (rows, 50), marked)
