@@ -15,8 +15,8 @@ T != 0; the Gaussian forms add T > 0), `check_beta` (0 < beta < inf),
 `check_nbar` (a finite nbar >= 0) and `require_finite` (dataclass fields).
 `su11_pieces` is the paper's su(1,1) disentangling, read by the su(1,1)
 coefficients and the Fock diagonal elements.  `argmin_rounds`, the package's
-one minimizer, runs on these kernels for `amplifier.delta_argmin_temperature`
-and `verify.refine_zero_temperature`.
+one minimizer, runs on these kernels only in `verify` (the qubit-zero-locus and
+amplifier-min-locus families); the library's minima are closed forms.
 """
 
 from __future__ import annotations

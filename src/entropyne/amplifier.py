@@ -7,10 +7,10 @@ nbar, the distance depends on w0 and k alone, whatever t and w: the probe's
 energy per quantum is k0 = w0 w1 + w3/w0 = w0, and the Gibbs state is an
 oscillator of frequency `effective_frequency(cfg)`.  The (T, nbar) surface
 has its per-nbar minimum where the amplifier's Gibbs entropy matches the
-probe's.  The surface and the minimizer (`_kernels.argmin_rounds`, the
-package's one) both evaluate `_kernels.amplifier_delta_cells` on w0, omega_eff.
-The input rules are `_kernels`': `require_finite`, `check_nbar` (the minimizer
-adds nbar > 0) and `check_temperature` (`nbar_from_temperature` adds T' > 0).
+probe's: T* = omega_eff / ln(1 + 1/nbar), which `verify` checks by minimizing
+the surface's kernel, `_kernels.amplifier_delta_cells` on w0, omega_eff.
+The input rules are `_kernels`': `require_finite`, `check_nbar` (T* adds
+nbar > 0) and `check_temperature` (`nbar_from_temperature` adds T' > 0).
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from . import _kernels
 from .errors import BracketError, DivergentPartition, DomainError, NumericalFailure
 from .gaussian import CovarianceState, QuadraticHamiltonian
 from .grids import DeltaGrid, GridSpec
-
-# Relative bracket width at which delta_argmin_temperature stops: ten times
-# below the 1e-5 to which criterion 9a checks T* against its closed form.
-_ARGMIN_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,10 +157,11 @@ def _argmin_markers(cells: np.ndarray) -> np.ndarray:
 
 def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
                              bracket: tuple[float, float]) -> float:
-    """Minimizer of T -> distance(T, nbar) on the bracket, by `_kernels.argmin_rounds`.
+    """Minimizer T* = omega_eff / ln(1 + 1/nbar) of T -> distance(T, nbar), inside the bracket.
 
-    Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), so sampling
-    rounds of the kernel narrow the bracket to b - a <= _ARGMIN_REL_TOL a.
+    Delta is convex in T (dDelta/dT = S_Gibbs(T) - S_probe), and the Gibbs
+    entropy is the probe's where 1/expm1(omega_eff/T) = nbar.  ln(1 + 1/nbar)
+    is log1p(1/nbar), or log1p(nbar) - ln(nbar) where 1/nbar overflows.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi < math.inf:  # also false for NaN
@@ -172,12 +169,10 @@ def delta_argmin_temperature(cfg: AmplifierConfig, nbar: float,
     _kernels.check_nbar(nbar)
     if nbar == 0.0:
         raise DomainError("nbar must be positive")
-    form = (np.array([nbar]), cfg.omega0, effective_frequency(cfg))
-    # Looked up per call, so a replaced kernel (tracing, tests) is the one run.
-    t_star = _kernels.argmin_rounds(
-        lambda temps: _kernels.amplifier_delta_cells(temps, *form)[:, 0], lo, hi,
-        _ARGMIN_REL_TOL)
-    edge = _ARGMIN_REL_TOL * max(t_star, 1.0) * 4.0
-    if t_star - lo < edge or hi - t_star < edge:
+    w_eff = effective_frequency(cfg)
+    inverse = 1.0 / nbar
+    log_ratio = math.log1p(inverse) if inverse < math.inf else math.log1p(nbar) - math.log(nbar)
+    t_star = w_eff / log_ratio  # inf where it overflows, which no bracket holds
+    if not lo < t_star < hi:
         raise BracketError("distance is monotone on the bracket (minimum at an end)")
     return t_star

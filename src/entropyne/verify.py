@@ -272,6 +272,37 @@ def check_amplifier_k0(seed: int, quick: bool) -> FamilyResult:
     return _result("amplifier-thermal-coincidence", worst, 1.0)
 
 
+def check_amplifier_min_locus(seed: int, quick: bool) -> FamilyResult:
+    """Closed-form T* = omega_eff / ln(1 + 1/nbar) against the kernel's minimizer.
+
+    Delta is quadratic at its minimum, Delta - Delta(T*) ~ (C/2T*)(T - T*)^2
+    with C = (x/2 / sinh(x/2))^2 the Gibbs heat capacity, x = omega_eff/T*,
+    and rounds to a few ulps of its cancelling terms (scale = |E| + T S +
+    |T ln Z|).  So `_kernels.argmin_rounds` on `_kernels.amplifier_delta_cells`
+    resolves T* only to r = sqrt(2 eps scale / (C T*)) relative: 3.3e-8 at
+    k = 0, nbar = 0.5, 9.6e-8 at k = 0.49, nbar = 0.05.  T* is held to 4 r.
+    """
+    cases = [(k, nbar) for k in (0.0, 0.1, 0.3, 0.49) for nbar in (0.05, 0.5, 2.0, 20.0)]
+    worst = 0.0
+    for k, nbar in cases:
+        cfg = amplifier.AmplifierConfig(k=k)
+        w_eff = amplifier.effective_frequency(cfg)
+        t_exact = amplifier.delta_argmin_temperature(cfg, nbar, (1e-3, 1e3))
+        t_min = _kernels.argmin_rounds(
+            lambda t: _kernels.amplifier_delta_cells(t, np.array([nbar]), cfg.omega0,
+                                                     w_eff)[:, 0],
+            0.5 * t_exact, 2.0 * t_exact, rel_tol=1e-10)
+        rec = gaussian.gaussian_delta(
+            amplifier.thermal_light_covariance(amplifier.ThermalLight(nbar), cfg.omega0),
+            amplifier.amplifier_hamiltonian(cfg), t_exact)
+        scale = abs(rec.energy) + t_exact * rec.entropy + abs(t_exact * rec.log_partition)
+        x = w_eff / t_exact
+        heat_capacity = (0.5 * x / math.sinh(0.5 * x)) ** 2
+        r = math.sqrt(2.0 * np.finfo(float).eps * scale / (heat_capacity * t_exact))
+        worst = max(worst, abs(t_min / t_exact - 1.0) / (4.0 * r))
+    return _result("amplifier-min-locus", worst, 1.0, f"cases={len(cases)}")
+
+
 def check_thermal_light_fock(seed: int, quick: bool) -> FamilyResult:
     worst = 0.0
     n_max = 400
@@ -304,6 +335,7 @@ ALL_FAMILIES = [
     check_legendre_diagonal,
     check_entropy_identity,
     check_amplifier_k0,
+    check_amplifier_min_locus,
     check_thermal_light_fock,
 ]
 

@@ -205,8 +205,8 @@ def test_criterion_9a_minimum_locus_proximity():
     # 1/(e^{w_eff/T} - 1) equals nbar:
     #   T* = w_eff / ln(1 + 1/nbar),   w_eff^2 = 4(w1*w3 - Re(w2)^2)
     # (Im w2 only shifts H by a constant).  Bounds checked:
-    #   1. |T* - T_exact| / T_exact <= 1e-5, a decade above the minimizer's
-    #      default rel_tol of 1e-6;
+    #   1. |T* - T_exact| / T_exact <= 1e-5 (T* is computed in closed form,
+    #      so this holds to rounding);
     #   2. 1/ln(1 + 1/n) = n + 1/2 - 1/(12 n) + O(n^-2), so
     #      |T*/w_eff - (nbar + 1/2)| <= 1/(12 nbar);
     #   3. the argmin marker of the k=0.1 surface lies within one T step of

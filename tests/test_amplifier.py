@@ -26,10 +26,11 @@ from entropyne import (
     thermal_light_covariance,
     thermal_light_fock,
 )
-from entropyne import _kernels, amplifier, grid_from_json_dict
+from entropyne import _kernels, amplifier, grid_from_json_dict, verify
 from entropyne.amplifier import _argmin_markers
 
 from dense_fock import FockTruncation, quadratic_hamiltonian_matrix
+from test_golden_output import check_output
 
 CFG = AmplifierConfig()  # omega0=omega_t=1, omega=3, k=0.1, t=0
 
@@ -261,9 +262,13 @@ def test_effective_frequency_where_omega0_plus_2k_overflows(omega0):
         assert abs(weff - float(exact)) <= 2.0 * math.ulp(float(exact)), (frac, weff)
 
 
+def ulps_from(value, expected):
+    return abs(value - expected) / math.ulp(expected)
+
+
 def test_argmin_k0_exact():
     t_star = delta_argmin_temperature(AmplifierConfig(k=0.0), 2.0, (0.1, 20.0))
-    assert abs(t_star - 1.0 / math.log(1.5)) < 1e-4
+    assert ulps_from(t_star, 1.0 / math.log1p(0.5)) <= 2.0
     assert abs(1.0 / math.log(1.5) - 2.466303) < 1e-6
 
 
@@ -273,9 +278,9 @@ def test_argmin_matches_entropy_matching_temperature(nbar):
     # oscillator matches the probe entropy: T* = w_eff / ln(1 + 1/nbar).
     h = amplifier_hamiltonian(CFG)
     w_eff = h.effective_frequency
-    expected = w_eff / math.log(1.0 + 1.0 / nbar)
+    expected = w_eff / math.log1p(1.0 / nbar)
     t_star = delta_argmin_temperature(CFG, nbar, (0.1, 10.0 * nbar))
-    assert abs(t_star - expected) <= 1e-4 * expected
+    assert ulps_from(t_star, expected) <= 4.0
 
 
 def test_argmin_monotone_bracket_rejected():
@@ -292,24 +297,34 @@ def test_argmin_within_one_step_of_surface_marker(nbar):
     assert abs(delta_argmin_temperature(CFG, nbar, (0.1, 10.0)) - marker_t) <= t_step
 
 
-def test_argmin_divergent_sample_raises(monkeypatch):
-    kernel = _kernels.amplifier_delta_cells
-
-    def nan_sample(*args):
-        delta = kernel(*args)
-        delta[len(delta) // 2] = np.nan
-        return delta
-
-    monkeypatch.setattr(_kernels, "amplifier_delta_cells", nan_sample)
-    with pytest.raises(NumericalFailure):
-        delta_argmin_temperature(CFG, 1.0, (0.1, 10.0))
+def exact_t_star(omega0, k, nbar):
+    """omega_eff / ln(1 + 1/nbar) at 50 digits, rounded to a double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w0, k, nbar = mpmath.mpf(omega0), mpmath.mpf(k), mpmath.mpf(nbar)
+        return float(mpmath.sqrt(w0 * w0 - 4 * k * k) / mpmath.log1p(1 / nbar))
 
 
-def test_argmin_overflowed_sample_raises():
-    # T* ~ 1.41e308 lies inside the bracket, but T S overflows to inf before
-    # it cancels, so the samples near 1.5e308 read -inf: not a minimum.
-    with pytest.raises(NumericalFailure):
-        delta_argmin_temperature(AmplifierConfig(omega0=1e308, k=1e307), 1.0, (1e308, 1.7e308))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega0, k, nbar, bracket", [
+    # T* ~ 1.41e308, where the kernel's T S overflows before it cancels.
+    (1e308, 1e307, 1.0, (1e308, 1.7e308)),
+    # 1/nbar overflows, so ln(1 + 1/nbar) is log1p(nbar) - ln(nbar): log1p(inf)
+    # would make T* = 0.
+    (1.0, 0.1, 1e-320, (1e-4, 1.0)),
+])
+def test_argmin_at_the_edges_of_the_double_range(omega0, k, nbar, bracket):
+    t_star = delta_argmin_temperature(AmplifierConfig(omega0=omega0, k=k), nbar, bracket)
+    assert ulps_from(t_star, exact_t_star(omega0, k, nbar)) <= 4.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_argmin_overflowed_t_star_is_outside_every_bracket():
+    # T* = omega_eff / ln(1 + 1e-308) is past the double range: inf, which no
+    # finite bracket holds.
+    with pytest.raises(BracketError, match=r"^distance is monotone on the bracket "
+                                           r"\(minimum at an end\)$"):
+        delta_argmin_temperature(AmplifierConfig(omega0=10.0), 1e308, (0.1, 1.7e308))
 
 
 def test_gaussian_delta_past_the_double_range_raises():
@@ -321,29 +336,14 @@ def test_gaussian_delta_past_the_double_range_raises():
 
 def test_argmin_wide_bracket():
     # The bracket reaches beta omega_eff ~ 1e-8, where ln Z is still finite.
-    expected = amplifier_hamiltonian(CFG).effective_frequency / math.log(2.0)
+    expected = amplifier_hamiltonian(CFG).effective_frequency / math.log1p(1.0)
     t_star = delta_argmin_temperature(CFG, 1.0, (1.0, 1e8))
-    assert abs(t_star - expected) <= 1e-5 * expected
+    assert ulps_from(t_star, expected) <= 4.0
 
 
 def test_argmin_rejects_nan_nbar():
     with pytest.raises(ValueError):
         delta_argmin_temperature(CFG, math.nan, (0.1, 10.0))
-
-
-def test_argmin_kernel_calls(monkeypatch):
-    calls = []
-    kernel = _kernels.amplifier_delta_cells
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return kernel(*args)
-
-    monkeypatch.setattr(_kernels, "amplifier_delta_cells", counting)
-    for nbar in (0.5, 1.0, 3.0, 5.0):
-        calls.clear()
-        delta_argmin_temperature(CFG, nbar, (0.05, 100.0))
-        assert 1 <= len(calls) <= 6, (nbar, calls)
 
 
 @pytest.mark.parametrize("bracket", [(0.1, math.inf), (math.nan, 10.0), (0.1, math.nan),
@@ -353,12 +353,34 @@ def test_argmin_rejects_bad_bracket(bracket):
         delta_argmin_temperature(CFG, 1.0, bracket)
 
 
-def test_argmin_ends_when_bracket_stops_shrinking(monkeypatch):
-    # A tolerance far below one ulp: the loop stops at adjacent floats.
-    monkeypatch.setattr(amplifier, "_ARGMIN_REL_TOL", 1e-300)
-    t_star = delta_argmin_temperature(CFG, 1.0, (0.1, 10.0))
-    expected = amplifier_hamiltonian(CFG).effective_frequency / math.log(2.0)
-    assert abs(t_star - expected) <= 1e-6 * expected
+def test_no_library_call_runs_the_minimizer(monkeypatch, capsys):
+    # The minimizer belongs to `verify`; the library's T*, its surface and the
+    # CLI grid give their results with it gone.
+    surface_args = (CFG, GridSpec(0.2, 10.0, 40), GridSpec(0.5, 4.0, 6))
+    expected = amplifier_delta_surface(*surface_args)
+
+    def no_minimizer(*args, **kwargs):
+        raise AssertionError("argmin_rounds ran on a library path")
+
+    monkeypatch.setattr(_kernels, "argmin_rounds", no_minimizer)
+    w_eff = amplifier.effective_frequency(CFG)
+    for nbar in (0.5, 1.0, 3.0, 5.0):
+        assert delta_argmin_temperature(CFG, nbar, (0.05, 100.0)) == w_eff / math.log1p(1 / nbar)
+    surface = amplifier_delta_surface(*surface_args)
+    assert np.array_equal(surface.cells, expected.cells)
+    assert np.array_equal(surface.markers, expected.markers)
+    check_output("amplifier-markers-json", capsys)
+
+
+@pytest.mark.parametrize("scale", [1.0 + 3e-7, 1.0 - 3e-7])
+def test_min_locus_family_catches_a_scaled_closed_form(scale, monkeypatch):
+    # The family holds T* to 4 times the minimizer's resolution of its
+    # minimum, 1.3e-7 to 3.8e-7 relative over its cases.
+    assert verify.check_amplifier_min_locus(2024, False).passed
+    closed_form = amplifier.delta_argmin_temperature
+    monkeypatch.setattr(amplifier, "delta_argmin_temperature",
+                        lambda *args: scale * closed_form(*args))
+    assert not verify.check_amplifier_min_locus(2024, False).passed
 
 
 @pytest.mark.parametrize("nbar,temp", [(0.5, 0.7), (2.0, 2.0), (5.0, 4.0),

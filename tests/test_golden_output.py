@@ -169,7 +169,7 @@ def test_process_stdout_bytes(name):
 
 
 # `verify --quick` at its default seed, run on one BLAS thread.
-VERIFY_QUICK_SHA256 = "7e0c354c2bcc332734a28f3c8649c811fca067655e5c262da82137092f4b31b2"
+VERIFY_QUICK_SHA256 = "330519e7fae7fd91436e1b91f9789b41fc8b96d2c4a535e10b16d4bae9feb5f2"
 
 
 def test_verify_quick_stdout_bytes():

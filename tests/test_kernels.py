@@ -12,7 +12,7 @@ from entropyne.amplifier import (AmplifierConfig, ThermalLight, amplifier_hamilt
                                  delta_argmin_temperature, nbar_from_temperature,
                                  thermal_light_covariance)
 from entropyne.errors import (DivergentPartition, DomainError, InvalidGaussian, NegativeBeta,
-                              UnphysicalCovariance, ZeroTemperature)
+                              NumericalFailure, UnphysicalCovariance, ZeroTemperature)
 from entropyne.gaussian import (CovarianceState, GaussianParams, QuadraticHamiltonian,
                                 gaussian_delta, log_partition_function,
                                 random_quadratic_hamiltonian)
@@ -337,6 +337,19 @@ def test_argmin_rounds_negative_bracket_stop_rule():
 def test_argmin_rounds_rejects_bad_bracket(a, b):
     with pytest.raises(ValueError, match="a < b"):
         _kernels.argmin_rounds(lambda xs: xs, a, b, 1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_argmin_rounds_non_finite_smallest_sample_raises(bad):
+    # A NaN sample is the one np.argmin picks, and -inf is the smallest:
+    # neither is a minimum, so the rounds stop there.
+    def one_bad_sample(xs):
+        ys = np.abs(xs - 0.7)
+        ys[len(ys) // 3] = bad
+        return ys
+
+    with pytest.raises(NumericalFailure, match=f"^f = {bad} at a sample in"):
+        _kernels.argmin_rounds(one_bad_sample, 0.5, 1.0, 1e-6)
 
 
 @pytest.mark.parametrize("case", ["exact", "qubit"])
