@@ -6,10 +6,10 @@ whether a quadratic form converges, and raises DivergentPartition, before
 any cell is formed, when it does not.  A convergent form is an oscillator of
 frequency `effective_frequency` plus the constant Im(w2), so its ln Z is
 finite at every beta > 0 and does not depend on w0.  Delta = (E - T S) +
-T ln Z is built in `qubit_delta` (of `qubit_energy`, `qubit_entropy`, which
-holds the one Bloch-norm rule, and `qubit_log_z`) and `gaussian_delta_cells`
-(fed thermal light by `amplifier_delta_cells`); a scalar record runs the
-same code as its grid, so a grid cell and a record agree on the value.
+T ln Z is written once, in `delta_cells`, which broadcasts over the qubit
+grid (`qubit_delta_cells`: `qubit_energy`, `qubit_entropy` with the one
+Bloch-norm rule, `qubit_log_z`), the thermal-light grid
+(`amplifier_delta_cells`) and both scalar records, so cells and records agree.
 The scalar input rules live here, one each: `check_temperature` (a finite
 T != 0; the Gaussian forms add T > 0), `check_beta` (0 < beta < inf),
 `check_nbar` (a finite nbar >= 0) and `require_finite` (dataclass fields).
@@ -106,11 +106,15 @@ def qubit_energy(p_norm: float, h0: float, h_norm: float, thetas):
         return 0.5 * (h0 + p_norm * h_norm * np.cos(thetas))
 
 
-def qubit_delta(energy, entropy: float, t, log_z):
-    """(E - T S) + T ln Z, rows E and columns T (floats give a float); inf or NaN past range."""
+def delta_cells(energy, entropy, t, log_z):
+    """(E - T S) + T ln Z, broadcast: floats give a float, a column of E (or T) and
+    a row of T (or E and S) a grid; log_z has T's shape.  inf or NaN past range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-        out = np.subtract.outer(energy, t * entropy)
+        # One buffer, finished in place in the golden bytes' order; T S is it when it
+        # has the cells' shape (an array: a numpy scalar cannot be an out=).
+        ts = np.multiply(t, entropy)
+        full = ts.ndim > 0 and ts.shape == np.broadcast_shapes(np.shape(energy), ts.shape)
+        out = np.subtract(energy, ts, out=ts if full else None)
         out += t * log_z
     return out
 
@@ -121,10 +125,9 @@ def qubit_delta_cells(p_norm: float, h0: float, h_norm: float,
 
     A cell past the double range is inf or NaN (no warning).
     """
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    energy = qubit_energy(p_norm, h0, h_norm, np.asarray(thetas, dtype=np.float64))
     t = np.ascontiguousarray(temps, dtype=np.float64)
-    return qubit_delta(qubit_energy(p_norm, h0, h_norm, thetas), qubit_entropy(p_norm),
-                       t, qubit_log_z(h0, h_norm, t))
+    return delta_cells(energy[:, None], qubit_entropy(p_norm), t, qubit_log_z(h0, h_norm, t))
 
 
 def effective_frequency(omega1: float, omega2_re: float, omega3: float) -> float:
@@ -173,38 +176,22 @@ def gaussian_log_z(beta, weff: float, omega2_im: float):
         return -beta * omega2_im - (0.5 * x + np.log(-np.expm1(-x)))
 
 
-def gaussian_delta_cells(temps: np.ndarray, energy, entropy, log_z) -> np.ndarray:
-    """Distance parameter over a (T, state) grid: rows T, columns the states.
-
-    energy and entropy are floats or one value per state; log_z is ln Z at
-    each T (a float for one T), from `gaussian_log_z` at beta = 1/T.  A cell
-    past the double range is inf or NaN (no warning).
-    """
-    t = np.ascontiguousarray(temps, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # One buffer, finished in place: the order (E - T S) + T ln Z keeps golden bytes.
-        out = np.multiply.outer(t, np.atleast_1d(entropy))
-        np.subtract(energy, out, out=out)
-        out += (t * log_z)[:, None]
-    return out
-
-
 def amplifier_delta_cells(temps: np.ndarray, nbars: np.ndarray, k0: float,
                           weff: float) -> np.ndarray:
     """Distance parameter of thermal light over a (T, nbar) grid.
 
-    `gaussian_delta_cells` with k0 = w0 w1 + w3/w0 and weff that of
+    `delta_cells` with k0 = w0 w1 + w3/w0 and weff that of
     `gaussian_log_z`; Im(w2) adds to the energy what it takes from T ln Z,
     so it is left out.  Rows are T, columns nbar.
     """
-    t = np.ascontiguousarray(temps, dtype=np.float64)
+    t = np.ascontiguousarray(temps, dtype=np.float64)[:, None]
     nb = np.ascontiguousarray(nbars, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         energy = k0 * (0.5 + nb)  # k0 (1 + 2 nb) overflows first near 1.8e308
         s = (1.0 + nb) * np.log1p(nb) - np.where(nb > 0.0, nb * np.log(
             np.where(nb > 0.0, nb, 1.0)), 0.0)
         log_z = gaussian_log_z(1.0 / t, weff, 0.0)
-    return gaussian_delta_cells(t, energy, s, log_z)
+    return delta_cells(energy, s, t, log_z)
 
 
 def argmin_rounds(f, a: float, b: float, rel_tol: float) -> float:

@@ -7,11 +7,12 @@ Subcommands:
     tsallis         deformed relative entropy / series report for two matrix files
     verify          run the oracle verification families
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-domain error.  Output is deterministic for fixed inputs and seed.  The grid
-subcommands accept --threads (default 1) for compatibility; it does not
-affect the work done or the output.  They stream their output, and a reader
-that closes stdout early (`| head`) ends the run quietly with exit 0.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a grid too
+large to allocate among them), 3 numeric domain error.  Output is
+deterministic for fixed inputs and seed.  The grid subcommands accept
+--threads (default 1) for compatibility; it does not affect the work done
+or the output.  They stream their output, and a reader that closes stdout
+early (`| head`) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     except (EntropyneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # a grid too large to allocate is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,8 +7,9 @@ S_{1+delta} around delta = 0, and the distance parameter
     delta = E - T*S + T*lnZ = T * S_vn(rho || gibbs(H, T)),
 
 which is >= 0 for T > 0 and <= 0 for T < 0, with equality iff rho is the
-thermal state of (H, T).  The closed forms' records are their kernels at
-length 1 (`_kernels.qubit_delta_cells`, `_kernels.gaussian_delta_cells`).
+thermal state of (H, T).  The closed forms' records and grids share one
+kernel, `_kernels.delta_cells`; `delta_from_operators` is the independent
+operator reference and writes its own sum.
 
 Each relative entropy is one sum over the eigenpairs (i, j) of rho and sigma,
 with weights w_ij = lam_i |<r_i|s_j>|^2 and log ratios a_ij = ln lam_i - ln mu_j:

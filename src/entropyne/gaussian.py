@@ -252,8 +252,8 @@ def gaussian_delta(c: CovarianceState, h: QuadraticHamiltonian,
     weff = h.effective_frequency
     # A ln Z past the double range makes Delta inf or NaN, which DeltaRecord rejects.
     log_z = float(_kernels.gaussian_log_z(beta, weff, h.omega2.imag))
-    cell = _kernels.gaussian_delta_cells([temperature], energy, entropy, log_z)[0, 0]
-    return DeltaRecord(energy, entropy, log_z, temperature, float(cell))
+    delta = float(_kernels.delta_cells(energy, entropy, temperature, log_z))
+    return DeltaRecord(energy, entropy, log_z, temperature, delta)
 
 
 def random_gaussian_params(seed: int) -> GaussianParams:

@@ -80,10 +80,7 @@ def gibbs_state(h: np.ndarray, temperature: float) -> np.ndarray:
     exponentiation so the largest Boltzmann weight is 1, which avoids
     overflow for large |H|/T.
     """
-    check_temperature(temperature)
-    dec = eigendecompose(h)
-    x = -dec.eigenvalues / temperature
-    x = x - x.max()
+    dec, x, _ = _shifted_exponents(h, temperature)
     weights = np.exp(x)
     weights /= weights.sum()
     v = dec.eigenvectors
@@ -93,11 +90,17 @@ def gibbs_state(h: np.ndarray, temperature: float) -> np.ndarray:
 
 def log_trace_exp(h: np.ndarray, temperature: float) -> float:
     """ln Tr(e^{-H/T}), stabilized by shifting the spectrum; T as in gibbs_state."""
+    _, x, m = _shifted_exponents(h, temperature)
+    return float(m + np.log(np.exp(x).sum()))
+
+
+def _shifted_exponents(h: np.ndarray, temperature: float):
+    """H's eigendecomposition, x - m with x = -w/T over its spectrum w, and the shift m = max x."""
     check_temperature(temperature)
-    w = eigendecompose(h).eigenvalues
-    x = -w / temperature
+    dec = eigendecompose(h)
+    x = -dec.eigenvalues / temperature
     m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
+    return dec, x - m, m
 
 
 def random_density_matrix(dim: int, seed: int) -> np.ndarray:

@@ -128,7 +128,7 @@ def qubit_delta_record(p_norm: float, theta: float, bh: BlochHamiltonian,
         raise DomainError(f"theta must be finite, got {theta}")
     energy = float(_kernels.qubit_energy(p_norm, bh.h0, bh.norm, theta))
     entropy, log_z = bloch_entropy(p_norm), log_partition_qubit(bh, temperature)
-    delta = float(_kernels.qubit_delta(energy, entropy, temperature, log_z))
+    delta = float(_kernels.delta_cells(energy, entropy, temperature, log_z))
     return DeltaRecord(energy, entropy, log_z, temperature, delta)
 
 

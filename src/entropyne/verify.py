@@ -156,14 +156,27 @@ def refine_zero_temperature(p_norm: float, ham: qubit.BlochHamiltonian,
         lo, hi, rel_tol=1e-10)
 
 
+def _resolution_error(rec: entropy.DeltaRecord, heat_capacity: float, t_min: float) -> float:
+    """|t_min/T - 1| over 4 r, T = rec.temperature: Delta ~ (C/2|T|)(T' - T)^2 near its
+    extremum T (C the Gibbs heat capacity) rounds to ulps of scale = |E| + |T| S +
+    |T ln Z|, so a minimizer resolves T only to r = sqrt(2 eps scale / (C |T|)) relative."""
+    t = rec.temperature
+    scale = abs(rec.energy) + abs(t) * rec.entropy + abs(t * rec.log_partition)
+    r = math.sqrt(2.0 * np.finfo(float).eps * scale / (heat_capacity * abs(t)))
+    return abs(t_min / t - 1.0) / (4.0 * r)
+
+
+def _thermal_light_entropy(nbar: float) -> float:
+    """S(nbar) = nbar ln((1 + nbar)/nbar) + ln(1 + nbar), the reference of two families."""
+    return nbar * math.log((1.0 + nbar) / nbar) + math.log(1.0 + nbar)
+
+
 def check_qubit_zero_locus(seed: int, quick: bool) -> FamilyResult:
     """T* of the minimizer against the exact locus |h|/(2 artanh p), for both signs of T.
 
-    Delta is quadratic at its zero, Delta ~ (C/2|T|)(T - T_eq)^2 with C the
-    Gibbs heat capacity, and rounds to a few ulps of its cancelling terms
-    (scale = |E| + |T| S + |T ln Z|).  So argmin |Delta| resolves T_eq only to
-    r = sqrt(2 eps scale / (C |T|)) relative: 2.5e-6 at p = 0.01, 5.7e-8 at
-    p = 0.5.  T* is held to 4 r, and |Delta(T*)| to 1e-8.
+    Delta has its zero there, so argmin |Delta| resolves T_eq only to r of
+    `_resolution_error`, with C = (x / cosh x)^2, x = |h|/(2|T_eq|): 2.5e-6 at
+    p = 0.01, 5.7e-8 at p = 0.5.  T* is held to 4 r, and |Delta(T*)| to 1e-8.
     """
     h_norm = math.sqrt(14.0)
     ham = qubit.BlochHamiltonian(h0=0.0, h=np.array([0.0, 0.0, h_norm]))
@@ -173,12 +186,9 @@ def check_qubit_zero_locus(seed: int, quick: bool) -> FamilyResult:
         theta = math.pi if sign > 0 else 0.0
         t_eq = qubit.equilibrium_temperature(p_norm, h_norm, sign)
         t_star = refine_zero_temperature(p_norm, ham, theta, *sorted((0.1 * sign, 1e3 * sign)))
-        rec = qubit.qubit_delta_record(p_norm, theta, ham, t_eq)
-        scale = abs(rec.energy) + abs(t_eq) * rec.entropy + abs(t_eq * rec.log_partition)
         x = h_norm / (2.0 * abs(t_eq))
-        heat_capacity = (x / math.cosh(x)) ** 2
-        r = math.sqrt(2.0 * np.finfo(float).eps * scale / (heat_capacity * abs(t_eq)))
-        worst = max(worst, abs(t_star / t_eq - 1.0) / (4.0 * r))
+        rec = qubit.qubit_delta_record(p_norm, theta, ham, t_eq)
+        worst = max(worst, _resolution_error(rec, (x / math.cosh(x)) ** 2, t_star))
         worst = max(worst,
                     abs(qubit.qubit_delta_record(p_norm, theta, ham, t_star).delta) / 1e-8)
     return _result("qubit-zero-locus", worst, 1.0, f"cases={len(cases)}")
@@ -247,8 +257,7 @@ def check_entropy_identity(seed: int, quick: bool) -> FamilyResult:
     for nbar in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         cov = amplifier.thermal_light_covariance(amplifier.ThermalLight(nbar), 1.0)
         s_mu = gaussian.entropy_gaussian(gaussian.purity(cov))
-        s_nbar = nbar * math.log((1.0 + nbar) / nbar) + math.log(1.0 + nbar)
-        worst = max(worst, abs(s_mu - s_nbar))
+        worst = max(worst, abs(s_mu - _thermal_light_entropy(nbar)))
     return _result("gaussian-entropy-identity", worst, 1e-12)
 
 
@@ -275,12 +284,9 @@ def check_amplifier_k0(seed: int, quick: bool) -> FamilyResult:
 def check_amplifier_min_locus(seed: int, quick: bool) -> FamilyResult:
     """Closed-form T* = omega_eff / ln(1 + 1/nbar) against the kernel's minimizer.
 
-    Delta is quadratic at its minimum, Delta - Delta(T*) ~ (C/2T*)(T - T*)^2
-    with C = (x/2 / sinh(x/2))^2 the Gibbs heat capacity, x = omega_eff/T*,
-    and rounds to a few ulps of its cancelling terms (scale = |E| + T S +
-    |T ln Z|).  So `_kernels.argmin_rounds` on `_kernels.amplifier_delta_cells`
-    resolves T* only to r = sqrt(2 eps scale / (C T*)) relative: 3.3e-8 at
-    k = 0, nbar = 0.5, 9.6e-8 at k = 0.49, nbar = 0.05.  T* is held to 4 r.
+    `_kernels.argmin_rounds` on `amplifier_delta_cells` resolves T* only to r of
+    `_resolution_error`, C = (x/2 / sinh(x/2))^2, x = omega_eff/T*: 3.3e-8 at k = 0,
+    nbar = 0.5, 9.6e-8 at k = 0.49, nbar = 0.05.  T* is held to 4 r.
     """
     cases = [(k, nbar) for k in (0.0, 0.1, 0.3, 0.49) for nbar in (0.05, 0.5, 2.0, 20.0)]
     worst = 0.0
@@ -295,11 +301,8 @@ def check_amplifier_min_locus(seed: int, quick: bool) -> FamilyResult:
         rec = gaussian.gaussian_delta(
             amplifier.thermal_light_covariance(amplifier.ThermalLight(nbar), cfg.omega0),
             amplifier.amplifier_hamiltonian(cfg), t_exact)
-        scale = abs(rec.energy) + t_exact * rec.entropy + abs(t_exact * rec.log_partition)
         x = w_eff / t_exact
-        heat_capacity = (0.5 * x / math.sinh(0.5 * x)) ** 2
-        r = math.sqrt(2.0 * np.finfo(float).eps * scale / (heat_capacity * t_exact))
-        worst = max(worst, abs(t_min / t_exact - 1.0) / (4.0 * r))
+        worst = max(worst, _resolution_error(rec, (0.5 * x / math.sinh(0.5 * x)) ** 2, t_min))
     return _result("amplifier-min-locus", worst, 1.0, f"cases={len(cases)}")
 
 
@@ -317,8 +320,7 @@ def check_thermal_light_fock(seed: int, quick: bool) -> FamilyResult:
         worst = max(worst, abs(e - (nbar + 0.5)) / 1e-8)
         probs = probs[probs > 0.0]
         s = float(-(probs * np.log(probs)).sum())
-        s_exact = nbar * math.log((1.0 + nbar) / nbar) + math.log(1.0 + nbar)
-        worst = max(worst, abs(s - s_exact) / 1e-8)
+        worst = max(worst, abs(s - _thermal_light_entropy(nbar)) / 1e-8)
     return _result("thermal-light-fock", worst, 1.0)
 
 

@@ -468,6 +468,29 @@ def test_bad_grid_spec_exits_2(args, capsys):
     assert captured.err.startswith("error: grid")
 
 
+# 1e18 doubles are 8 EB, past any machine's address space, so the first
+# allocation of an axis fails at once, whatever the overcommit setting.
+HUGE_COUNT = "1000000000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--theta", f"0:1:{HUGE_COUNT}",
+     "--temp", "1:2:2"],
+    ["qubit-grid", "--p-norm", "0.5", "--h-norm", "1", "--theta", "0:1:2",
+     "--temp", f"1:2:{HUGE_COUNT}"],
+    ["amplifier-grid", "--temp", f"1:2:{HUGE_COUNT}", "--nbar", "1:2:2"],
+    ["amplifier-grid", "--temp", "1:2:2", "--nbar", f"1:2:{HUGE_COUNT}"],
+])
+def test_grid_too_large_to_allocate_exits_2(args, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(args + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert not out.exists()
+
+
 def test_threads_env_is_not_read():
     # No environment variable configures the CLI, so a malformed
     # ENTROPYNE_THREADS is no error.

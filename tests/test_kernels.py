@@ -2,6 +2,7 @@
 and the one rule for each scalar input (T, beta, nbar, finite fields)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ def test_kernels_bit_identical_to_broadcast_expression():
         # A negative-definite form has no frequency to give either of them.
         with pytest.raises(DivergentPartition):
             broadcast_amplifier_cells(amp_temps, nbars, NAMED_FORMS["negative-definite-half"])
+
+
+def test_grid_kernels_fill_one_cells_sized_buffer():
+    # Each grid kernel forms its cells in one buffer and finishes it in place,
+    # so its traced peak is the cells and a few rows: a second full-size
+    # temporary would read about 2.
+    rows, columns = np.linspace(0.5, 8.0, 400), np.linspace(0.5, 8.0, 500)
+    h = NAMED_FORMS["amplifier-default"]
+    kernels = [lambda: _kernels.qubit_delta_cells(0.37, 0.4, 3.0, rows, columns),
+               lambda: _kernels.amplifier_delta_cells(rows, columns, h.k0_coefficient,
+                                                      h.effective_frequency)]
+    for kernel in kernels:
+        tracemalloc.start()
+        try:
+            cells = kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (400, 500)
+        assert peak <= 1.25 * cells.nbytes
 
 
 def test_scalar_delta_is_the_kernel_at_length_1():
